@@ -13,10 +13,8 @@ from .controllability import (GRAMIAN_EIG_FLOOR, GramianResult, Verdict,
                               controllable_vertices, decide, gramian_check,
                               input_vector, kalman_rank_exact, pbh_verdict)
 from .compose import (ChainSpec, CompositeSpec, HypothesisNotMet, OutOfSupport,
-                      append_path, chain_antiregular, chain_spec_from_json,
-                      chain_spec_to_json, cj_contains, cj_index, composite,
-                      composite_modal, composite_spec_from_json,
-                      composite_spec_to_json, path_split_controllable,
+                      append_path, chain_antiregular, cj_contains, cj_index,
+                      composite, composite_modal, path_split_controllable,
                       predict_composite, valid_chain_input)
 
 __version__ = "0.1.0"
@@ -33,9 +31,8 @@ __all__ = [
     "decide", "gramian_check", "input_vector", "kalman_rank_exact",
     "pbh_verdict",
     "ChainSpec", "CompositeSpec", "HypothesisNotMet", "OutOfSupport",
-    "append_path", "chain_antiregular", "chain_spec_from_json",
-    "chain_spec_to_json", "cj_contains", "cj_index", "composite",
-    "composite_modal", "composite_spec_from_json", "composite_spec_to_json",
-    "path_split_controllable", "predict_composite", "valid_chain_input",
+    "append_path", "chain_antiregular", "cj_contains", "cj_index",
+    "composite", "composite_modal", "path_split_controllable",
+    "predict_composite", "valid_chain_input",
     "__version__",
 ]

@@ -22,8 +22,8 @@ from .graph_core import (Graph, conjugate, degree_sequence, gen_antiregular,
                          graph_to_dot, graph_to_json, laplacian,
                          random_connected_graph)
 from .spectral import ConvergenceError, check_majorization, eig_sym
-from .controllability import (gramian_check, input_vector, kalman_rank_exact,
-                              controllable_vertices, pbh_verdict)
+from .controllability import (Verdict, controllable_vertices, gramian_check,
+                              input_vector, kalman_rank_exact, pbh_verdict)
 from .compose import (ChainSpec, CompositeSpec, OutOfSupport, append_path,
                       chain_antiregular, composite, path_split_controllable,
                       predict_composite, valid_chain_input)
@@ -333,38 +333,32 @@ def _verdict_payload(verdict) -> dict:
     return json.loads(verdict.to_json())
 
 
+def _check_verdict(method: str, L, b, args) -> Verdict:
+    """Decide controllability of (L, b) by one method of ``check``."""
+    if method == "exact":
+        rank = kalman_rank_exact(L, b)
+        return Verdict(controllable=rank == len(L), method="exact", rank=rank)
+    if method == "gramian":
+        gram = gramian_check(L, b, horizon=args.horizon, steps=args.steps)
+        return Verdict(controllable=gram.controllable, method="gramian")
+    return pbh_verdict(L, b)
+
+
 def _cmd_check(args) -> int:
     g = _load_graph(args.graph)
     L = laplacian(g)
     b = input_vector(g.n, args.input)
     if args.method == "all":
-        rank = kalman_rank_exact(L, b)
-        exact = {"controllable": rank == g.n, "method": "exact",
-                 "witness": None, "rank": rank}
-        pbh = _verdict_payload(pbh_verdict(L, b))
-        gram = gramian_check(L, b, horizon=args.horizon, steps=args.steps)
-        gramian = {"controllable": gram.controllable, "method": "gramian",
-                   "witness": None, "rank": None}
-        agree = exact["controllable"] == pbh["controllable"] == gramian["controllable"]
-        payload = {"agree": agree, "exact": exact, "pbh": pbh, "gramian": gramian}
-        decision = exact["controllable"]
+        verdicts = {m: _check_verdict(m, L, b, args) for m in ("exact", "pbh", "gramian")}
+        agree = len({v.controllable for v in verdicts.values()}) == 1
+        payload = {"agree": agree,
+                   **{m: _verdict_payload(v) for m, v in verdicts.items()}}
+        decision = verdicts["exact"].controllable
         _emit(json.dumps(payload, separators=(", ", ": ")), args.output)
         if not agree:
             return 1
-    elif args.method == "exact":
-        rank = kalman_rank_exact(L, b)
-        decision = rank == g.n
-        payload = {"controllable": decision, "method": "exact",
-                   "witness": None, "rank": rank}
-        _emit(json.dumps(payload, separators=(", ", ": ")), args.output)
-    elif args.method == "gramian":
-        gram = gramian_check(L, b, horizon=args.horizon, steps=args.steps)
-        decision = gram.controllable
-        payload = {"controllable": decision, "method": "gramian",
-                   "witness": None, "rank": None}
-        _emit(json.dumps(payload, separators=(", ", ": ")), args.output)
     else:
-        verdict = pbh_verdict(L, b)
+        verdict = _check_verdict(args.method, L, b, args)
         decision = verdict.controllable
         _emit(verdict.to_json(), args.output)
     if args.expect is not None:

@@ -18,13 +18,11 @@ driven from, and the block-1 input predicate for chains.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graph_core import (Graph, gen_antiregular, graph_from_json, is_connected,
-                         laplacian)
+from .graph_core import Graph, gen_antiregular, is_connected, laplacian
 from .controllability import Verdict, input_vector, kalman_rank_exact
 from .spectral import antiregular_spectrum, default_gtol, eig_sym
 
@@ -42,15 +40,11 @@ __all__ = [
     "chain_antiregular",
     "valid_chain_input",
     "append_path",
-    "composite_spec_to_json",
-    "composite_spec_from_json",
-    "chain_spec_to_json",
-    "chain_spec_from_json",
 ]
 
 
 class HypothesisNotMet(ValueError):
-    """A theorem-based prediction was asked outside the theorem's hypotheses."""
+    """A theorem-based prediction was asked where the theorem's premises fail."""
 
 
 class OutOfSupport(ValueError):
@@ -324,54 +318,3 @@ def append_path(g: Graph, v: int, m: int) -> Graph:
     edges.extend((g.n + i, g.n + i + 1) for i in range(1, m))
     return Graph.from_edges(g.n + m, edges)
 
-
-# ---------------------------------------------------------------------------
-# spec serialization
-# ---------------------------------------------------------------------------
-
-def composite_spec_to_json(spec: CompositeSpec) -> str:
-    payload = {
-        "structure": {"n": spec.structure.n,
-                      "edges": [[u, v] for u, v in spec.structure.sorted_edges()]},
-        "cell": {"n": spec.cell.n,
-                 "edges": [[u, v] for u, v in spec.cell.sorted_edges()]},
-        "s": spec.s,
-    }
-    return json.dumps(payload, separators=(", ", ": "))
-
-
-def composite_spec_from_json(text: str) -> CompositeSpec:
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"invalid composite spec JSON: {exc}") from exc
-    if not isinstance(payload, dict) or not {"structure", "cell", "s"} <= set(payload):
-        raise ValueError('composite spec JSON needs "structure", "cell", "s"')
-    structure = graph_from_json(json.dumps(payload["structure"]))
-    cell = graph_from_json(json.dumps(payload["cell"]))
-    if not isinstance(payload["s"], int) or isinstance(payload["s"], bool):
-        raise ValueError('"s" must be an integer')
-    return CompositeSpec(structure=structure, cell=cell, s=payload["s"])
-
-
-def chain_spec_to_json(spec: ChainSpec) -> str:
-    payload = {"c": spec.c, "k2": spec.k2, "links": list(spec.links),
-               "tail": spec.tail, "tail_attach": spec.tail_attach}
-    return json.dumps(payload, separators=(", ", ": "))
-
-
-def chain_spec_from_json(text: str) -> ChainSpec:
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"invalid chain spec JSON: {exc}") from exc
-    if not isinstance(payload, dict) or not {"c", "k2", "links"} <= set(payload):
-        raise ValueError('chain spec JSON needs "c", "k2", "links"')
-    for key in ("c", "k2", "tail", "tail_attach"):
-        if key in payload and payload[key] is not None and (
-                not isinstance(payload[key], int) or isinstance(payload[key], bool)):
-            raise ValueError(f'"{key}" must be an integer')
-    return ChainSpec(c=payload["c"], k2=payload["k2"],
-                     links=tuple(payload["links"]),
-                     tail=payload.get("tail", 0),
-                     tail_attach=payload.get("tail_attach"))

@@ -22,7 +22,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .graph_core import Graph, is_connected, laplacian
-from .spectral import ConvergenceError, default_gtol, eig_sym, eigenspaces
+from .spectral import default_gtol, eig_sym, eigenspaces
 
 __all__ = [
     "Verdict",
@@ -234,61 +234,18 @@ def controllable_vertices(g: Graph) -> set[int]:
 # finite-horizon Gramian
 # ---------------------------------------------------------------------------
 
-def _singular_values(a: np.ndarray) -> np.ndarray:
-    """Singular values of a tall matrix by one-sided Jacobi on its columns.
-
-    Plane rotations mix column pairs until every pair is orthogonal to
-    working precision; the column norms are then the singular values. The
-    one-sided form never squares the matrix, so tiny singular values keep
-    high relative accuracy instead of drowning in the large ones. Returned
-    in descending order.
-    """
-    u = np.array(a, dtype=float)
-    rows, cols = u.shape
-    if rows < cols:
-        raise ValueError("one-sided Jacobi needs at least as many rows as columns")
-    sweeps = 0
-    while True:
-        off = 0.0
-        for i in range(cols - 1):
-            for j in range(i + 1, cols):
-                aii = float(u[:, i] @ u[:, i])
-                ajj = float(u[:, j] @ u[:, j])
-                aij = float(u[:, i] @ u[:, j])
-                if aii == 0.0 or ajj == 0.0:
-                    continue
-                rel = abs(aij) / math.sqrt(aii * ajj)
-                if rel <= 1e-14:
-                    continue
-                off = max(off, rel)
-                zeta = (ajj - aii) / (2.0 * aij)
-                t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
-                cs = 1.0 / math.hypot(1.0, t)
-                sn = cs * t
-                col_i = cs * u[:, i] - sn * u[:, j]
-                col_j = sn * u[:, i] + cs * u[:, j]
-                u[:, i] = col_i
-                u[:, j] = col_j
-        if off <= 1e-14:
-            break
-        sweeps += 1
-        if sweeps > 60:
-            raise ConvergenceError("one-sided Jacobi exceeded 60 sweeps")
-    sig = np.sqrt(np.sum(u * u, axis=0))
-    return np.sort(sig)[::-1]
-
-
 def gramian_check(L, B, horizon: float = 1.0, steps: int = 200) -> GramianResult:
     """Controllability Gramian W = int_0^T exp(-Lt) B B^T exp(-Lt) dt.
 
     Composite Simpson quadrature writes W as an exact outer product C C^T
     of sampled impulse responses sqrt(w_k) exp(-L t_k) B, and the smallest
     Gramian eigenvalue is recovered as the squared smallest singular value
-    of the factor C. Working with the factor never squares the dynamic
-    range: directions that are truly unreachable stay at squared roundoff
-    (about 1e-32 of the trace scale) instead of plain roundoff, so the
-    positivity floor 1e-24 * trace(W) / n cleanly separates them from
-    barely controllable pairs whose smallest eigenvalue is genuinely tiny.
+    of the factor C (LAPACK SVD, numpy.linalg.svd). C C^T is never formed,
+    so the dynamic range is never squared: directions that are truly
+    unreachable stay at squared roundoff (about 1e-32 of the trace scale)
+    instead of plain roundoff, so the positivity floor 1e-24 * trace(W) / n
+    cleanly separates them from barely controllable pairs whose smallest
+    eigenvalue is genuinely tiny.
 
     steps is rounded up to an even count. A full-rank verdict needs
     (steps + 1) * inputs >= n samples; below that the quadrature Gramian is
@@ -321,7 +278,7 @@ def gramian_check(L, B, horizon: float = 1.0, steps: int = 200) -> GramianResult
 
     if factor.shape[1] < n:
         return GramianResult(min_eigenvalue=0.0, controllable=False)
-    sig = _singular_values(factor.T)
+    sig = np.linalg.svd(factor, compute_uv=False)
     min_eig = float(sig[-1] ** 2)
     trace = float(np.sum(sig ** 2))
     floor = GRAMIAN_EIG_FLOOR * trace / n

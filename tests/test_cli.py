@@ -127,6 +127,16 @@ class TestCheck:
         assert payload["pbh"]["controllable"] is False
         assert payload["gramian"]["controllable"] is False
 
+    @pytest.mark.parametrize("vertex", ["1", "2"])
+    def test_single_method_matches_its_all_entry(self, capsys, path3_file, vertex):
+        _, out, _ = run_cli(capsys, "check", path3_file, "--input", vertex,
+                            "--method", "all")
+        all_payload = json.loads(out)
+        for method in ("exact", "pbh", "gramian"):
+            _, out, _ = run_cli(capsys, "check", path3_file, "--input", vertex,
+                                "--method", method)
+            assert out == json.dumps(all_payload[method], separators=(", ", ": ")) + "\n"
+
     def test_multi_vertex_input(self, capsys, path3_file):
         code, out, _ = run_cli(capsys, "check", path3_file,
                                "--input", "1", "3", "--method", "exact")

@@ -10,14 +10,10 @@ from lapctrl import (
     OutOfSupport,
     append_path,
     chain_antiregular,
-    chain_spec_from_json,
-    chain_spec_to_json,
     cj_contains,
     cj_index,
     composite,
     composite_modal,
-    composite_spec_from_json,
-    composite_spec_to_json,
     gen_antiregular,
     gen_complete,
     gen_path,
@@ -96,13 +92,6 @@ class TestComposite:
         spec = CompositeSpec(structure=gen_path(2), cell=gen_path(2), s=1)
         with pytest.raises(ValueError):
             predict_composite(spec, 3)
-
-    def test_spec_json_round_trip(self):
-        spec = CompositeSpec(structure=gen_path(3), cell=gen_antiregular(4), s=2)
-        back = composite_spec_from_json(composite_spec_to_json(spec))
-        assert back.structure.edges == spec.structure.edges
-        assert back.cell.edges == spec.cell.edges
-        assert back.s == spec.s
 
 
 def gen_threshold_like_disconnected():
@@ -183,11 +172,6 @@ class TestChainSpec:
             ChainSpec(c=1, k2=3, tail=-1)
         with pytest.raises(ValueError):
             ChainSpec(c=1, k2=3, tail=1, tail_attach=4)
-
-    def test_json_round_trip(self):
-        spec = ChainSpec(c=3, k2=4, links=("D", "T"), tail=2, tail_attach=1)
-        back = chain_spec_from_json(chain_spec_to_json(spec))
-        assert back == spec
 
 
 class TestChainGraph:

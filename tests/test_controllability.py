@@ -233,6 +233,39 @@ class TestGramian:
     def test_floor_constant_is_tiny(self):
         assert GRAMIAN_EIG_FLOOR < 1e-20
 
+    @pytest.mark.parametrize("k, rel", [(4, 1e-8), (6, 1e-8), (8, 1e-8), (10, 1e-4)])
+    def test_resolves_tiny_min_eigenvalue_on_end_driven_paths(self, k, rel):
+        # lambda_min of the Simpson Gramian of (P_k, e1) against a 60-digit
+        # evaluation of the same quadrature in the exact path eigenbasis; at
+        # k = 8 it sits near 1e-16 of the trace, where forming W = C C^T in
+        # doubles would leave no correct digit
+        mp = pytest.importorskip("mpmath")
+        ref, trace = _path_gramian_reference(mp, k)
+        res = gramian_check(laplacian(gen_path(k)), _ev(k, 1))
+        assert res.controllable
+        assert abs(res.min_eigenvalue - ref) <= rel * ref
+        if k == 8:
+            assert ref < 1e-16 * trace
+
+
+def _path_gramian_reference(mp, k, steps=200):
+    """(lambda_min, trace) of the horizon-1 Simpson Gramian of the k-vertex
+    path driven at vertex 1, in the exact eigenbasis at 60 digits."""
+    with mp.workdps(60):
+        lam = [4 * mp.sin(i * mp.pi / (2 * k)) ** 2 for i in range(k)]
+        proj = [mp.cos(i * mp.pi / (2 * k)) * mp.sqrt(mp.mpf(1 if i == 0 else 2) / k)
+                for i in range(k)]
+        h = mp.mpf(1) / steps
+        weights = [h / 3 * (1 if j in (0, steps) else 4 if j % 2 else 2)
+                   for j in range(steps + 1)]
+        W = mp.matrix(k, k)
+        for a in range(k):
+            for b in range(a, k):
+                W[a, b] = W[b, a] = proj[a] * proj[b] * mp.fsum(
+                    w * mp.exp(-(lam[a] + lam[b]) * j * h) for j, w in enumerate(weights))
+        eigs = mp.eigsy(W, eigvals_only=True)
+        return float(min(eigs)), float(mp.fsum(eigs))
+
 
 # ---------------------------------------------------------------------------
 # combined decision and cross-method agreement

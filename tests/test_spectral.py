@@ -73,6 +73,12 @@ class TestEigSym:
         dec = eig_sym(np.diag([3.0, -1.0, 2.0]))
         assert np.allclose(dec.values, [-1.0, 2.0, 3.0])
 
+    def test_repeated_calls_are_identical(self):
+        L = laplacian(random_connected_graph(20, random.Random(7)))
+        first, second = eig_sym(L), eig_sym(L)
+        assert np.array_equal(first.values, second.values)
+        assert np.array_equal(first.modal, second.modal)
+
     @given(st.integers(min_value=1, max_value=10), st.integers())
     @settings(max_examples=30, deadline=None)
     def test_random_laplacian_eigen_equation(self, k, seed):
@@ -99,6 +105,14 @@ class TestEigenspaces:
         assert [s.multiplicity for s in spaces] == [1, 4]
         assert spaces[0].value == pytest.approx(0.0, abs=1e-9)
         assert spaces[1].value == pytest.approx(5.0)
+
+    def test_repeated_eigenspace_projector_is_basis_free(self):
+        # the basis inside the 4-dimensional eigenspace of K5 is the solver's
+        # choice; the eigenspace itself, the orthogonal complement of the
+        # all-ones vector, is not
+        big = eigenspaces(eig_sym(laplacian(gen_complete(5))))[1].basis
+        assert np.allclose(big @ big.T, np.eye(5) - np.ones((5, 5)) / 5,
+                           rtol=0, atol=1e-12)
 
     def test_path_all_simple(self):
         spaces = eigenspaces(eig_sym(laplacian(gen_path(6))))
