@@ -1,291 +1,25 @@
 """Command-line surface: generate, decompose, check, interconnect, verify.
 
-The ``verify`` verb runs the theorem-versus-oracle sweeps with their case
-lists embedded in code, one JSON line per case, so a release binary can
-re-certify itself without external data. Exit codes: 0 success, 1 a
-verification or --expect failure, 2 usage errors.
+The ``verify`` verb prints the sweeps of ``lapctrl.verify`` one JSON line
+per case, then a summary line. Exit codes: 0 success, 1 a verification or
+--expect failure, 2 usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
-import random
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .graph_core import (Graph, conjugate, degree_sequence, gen_antiregular,
-                         gen_complete, gen_path, gen_threshold, graph_from_json,
-                         graph_to_dot, graph_to_json, laplacian,
-                         random_connected_graph)
-from .spectral import ConvergenceError, check_majorization, eig_sym
-from .controllability import (Verdict, controllable_vertices, gramian_check,
-                              input_vector, kalman_rank_exact, pbh_verdict)
-from .compose import (ChainSpec, CompositeSpec, OutOfSupport, append_path,
-                      chain_antiregular, composite, path_split_controllable,
-                      predict_composite, valid_chain_input)
-
-GAP_TOL = 1e-6         # spectrum counts as simple when adjacent gaps exceed this
-ZERO_ENTRY_REL = 1e-8  # |v_i| > 1e-8 * ||v||_inf counts as a nonzero entry
-DEFAULT_SEED = 2026
-
-_FAMILY_RANGE = range(2, 6)
-
-
-# ---------------------------------------------------------------------------
-# verification sweeps (shared with the acceptance tests)
-# ---------------------------------------------------------------------------
-
-def _family_graphs() -> list[tuple[str, Graph]]:
-    out = []
-    for name, fn in (("P", gen_path), ("AR", gen_antiregular), ("K", gen_complete)):
-        out.extend((f"{name}{k}", fn(k)) for k in _FAMILY_RANGE)
-    return out
-
-
-def _entries_nonzero(vec: np.ndarray, idx0: list[int]) -> bool:
-    peak = float(np.max(np.abs(vec)))
-    return all(abs(float(vec[i])) > ZERO_ENTRY_REL * peak for i in idx0)
-
-
-def verify_composite() -> list[dict]:
-    """Composite equivalence and simplicity, against the exact oracle.
-
-    theorem4 cases: for every structure/cell pair over {P, AR, K : k in
-    2..5}, every cell vertex s that controls the cell, and every structure
-    vertex w, the predicted verdict must match exact Kalman on the
-    composite at input (w-1)k2+s. theorem3 cases: whenever the structure
-    has controllable vertices at all, the composite spectrum must be simple
-    and every eigenvector must be nonzero at the composite-vertex indices
-    of those structure positions.
-    """
-    cases = []
-    graphs = _family_graphs()
-    for cell_name, cell in graphs:
-        for s in sorted(controllable_vertices(cell)):
-            for struct_name, struct in graphs:
-                spec = CompositeSpec(structure=struct, cell=cell, s=s)
-                comp = composite(spec)
-                Lc = laplacian(comp)
-                k1, k2 = struct.n, cell.n
-                for w in range(1, k1 + 1):
-                    pred = predict_composite(spec, w)
-                    idx = (w - 1) * k2 + s
-                    oracle = kalman_rank_exact(Lc, input_vector(comp.n, [idx])) == comp.n
-                    ok = pred.controllable == oracle and pred.input_vertex == idx
-                    cases.append({
-                        "case": f"theorem4 structure={struct_name} cell={cell_name} s={s} w={w}",
-                        "pass": bool(ok),
-                        "detail": f"predicted={pred.controllable} oracle={oracle} input={idx}",
-                    })
-                positions = sorted(controllable_vertices(struct))
-                if not positions:
-                    continue
-                dec = eig_sym(Lc)
-                min_gap = float(np.min(np.diff(dec.values)))
-                simple = min_gap > GAP_TOL
-                targets = [(w - 1) * k2 + s - 1 for w in positions]
-                nonzero = all(_entries_nonzero(dec.modal[:, j], targets)
-                              for j in range(comp.n))
-                cases.append({
-                    "case": f"theorem3 structure={struct_name} cell={cell_name} s={s}",
-                    "pass": bool(simple and nonzero),
-                    "detail": f"min gap {min_gap:.3e}; "
-                              f"entries nonzero at copies {positions}: {nonzero}",
-                })
-    return cases
-
-
-def verify_cj() -> list[dict]:
-    """Path-split predicate versus the exact oracle, paths up to 20 vertices."""
-    cases = []
-    for k in range(1, 21):
-        L = laplacian(gen_path(k))
-        for v in range(1, k + 1):
-            predicted = path_split_controllable(v - 1, k - v)
-            oracle = kalman_rank_exact(L, input_vector(k, [v])) == k
-            cases.append({
-                "case": f"cj P{k} v={v}",
-                "pass": bool(predicted == oracle),
-                "detail": f"split=({v - 1},{k - v}) predicted={predicted} oracle={oracle}",
-            })
-    return cases
-
-
-def _block1_inputs(spec: ChainSpec):
-    """All binary block-1 input patterns the chain theorem covers."""
-    free = spec.k2 - 1 if (spec.links and spec.links[0] == "T") else spec.k2
-    for bits in itertools.product((0, 1), repeat=free):
-        if not any(bits):
-            continue
-        yield bits + (0,) * (spec.k2 - free)
-
-
-def verify_chain() -> list[dict]:
-    """Chain input predicate versus the exact oracle, all covered inputs."""
-    cases = []
-    for k2 in (2, 3, 4, 5):
-        for c in (2, 3):
-            for links in itertools.product("DT", repeat=c - 1):
-                spec = ChainSpec(c=c, k2=k2, links=links)
-                g = chain_antiregular(spec)
-                L = laplacian(g)
-                for bits in _block1_inputs(spec):
-                    b = np.zeros((g.n, 1), dtype=np.int64)
-                    b[:k2, 0] = bits
-                    predicted = valid_chain_input(spec, b)
-                    oracle = kalman_rank_exact(L, b) == g.n
-                    word = "".join(links)
-                    pattern = "".join(map(str, bits))
-                    cases.append({
-                        "case": f"chain c={c} k2={k2} links={word} b={pattern}",
-                        "pass": bool(predicted == oracle),
-                        "detail": f"predicted={predicted} oracle={oracle}",
-                    })
-    return cases
-
-
-def verify_lemma6() -> list[dict]:
-    """Chain spectra are simple and eigenvectors are nonzero at entries
-    kappa and kappa+1, for every link mix with c <= 4 blocks of order <= 5."""
-    cases = []
-    for k2 in (2, 3, 4, 5):
-        for c in (1, 2, 3, 4):
-            for links in itertools.product("DT", repeat=c - 1):
-                spec = ChainSpec(c=c, k2=k2, links=links)
-                g = chain_antiregular(spec)
-                dec = eig_sym(laplacian(g))
-                gaps = np.diff(dec.values)
-                min_gap = float(np.min(gaps)) if len(gaps) else float("inf")
-                simple = min_gap > GAP_TOL
-                kap = spec.kappa
-                nonzero = all(_entries_nonzero(dec.modal[:, j], [kap - 1, kap])
-                              for j in range(g.n))
-                word = "".join(links) if links else "-"
-                cases.append({
-                    "case": f"lemma6 c={c} k2={k2} links={word}",
-                    "pass": bool(simple and nonzero),
-                    "detail": f"min gap {min_gap:.3e}; entries {kap},{kap + 1} nonzero: {nonzero}",
-                })
-    return cases
-
-
-def verify_lemma7() -> list[dict]:
-    """Appending a path to a vertex that every eigenvector avoids zeroing
-    keeps every eigenvector nonzero at the path's far end."""
-    hosts: list[tuple[str, Graph]] = [(f"AR{k}", gen_antiregular(k)) for k in range(2, 7)]
-    for k2 in (2, 3):
-        for link in "DT":
-            spec = ChainSpec(c=2, k2=k2, links=(link,))
-            hosts.append((f"chain c=2 k2={k2} links={link}", chain_antiregular(spec)))
-    cases = []
-    for name, g in hosts:
-        for v in sorted(controllable_vertices(g)):
-            for m in range(1, 6):
-                appended = append_path(g, v, m)
-                dec = eig_sym(laplacian(appended))
-                gaps = np.diff(dec.values)
-                min_gap = float(np.min(gaps)) if len(gaps) else float("inf")
-                simple = min_gap > GAP_TOL
-                far = appended.n - 1  # 0-based index of the path's far end
-                nonzero = all(_entries_nonzero(dec.modal[:, j], [far])
-                              for j in range(appended.n))
-                cases.append({
-                    "case": f"lemma7 {name} v={v} m={m}",
-                    "pass": bool(simple and nonzero),
-                    "detail": f"min gap {min_gap:.3e}; far-end entries nonzero: {nonzero}",
-                })
-    return cases
-
-
-def verify_majorization(count: int = 100, maxk: int = 10,
-                        seed: int = DEFAULT_SEED) -> list[dict]:
-    """Spectrum majorized by the conjugate degree sequence, random graphs."""
-    rng = random.Random(seed)
-    cases = []
-    for i in range(1, count + 1):
-        k = rng.randint(2, maxk)
-        g = random_connected_graph(k, rng)
-        dec = eig_sym(laplacian(g))
-        ok = check_majorization(dec.values, conjugate(degree_sequence(g)))
-        cases.append({
-            "case": f"majorization random-{i:03d}",
-            "pass": bool(ok),
-            "detail": f"k={k} edges={len(g.edges)}",
-        })
-    return cases
-
-
-_FIG1C_INPUTS = [
-    ("e3", (0, 0, 1, 0, 0)),
-    ("e4", (0, 0, 0, 1, 0)),
-    ("e3+e5", (0, 0, 1, 0, 1)),
-    ("e4+e5", (0, 0, 0, 1, 1)),
-]
-
-
-def verify_figure1() -> list[dict]:
-    """The paper-scale showcase graphs.
-
-    A 35-vertex composite (7-vertex antiregular structure driven at its
-    degree-repeating vertex 4, 5-vertex antiregular cell, s = 3) must be
-    controllable at input index 18. And for every link mix, the chain of
-    five 5-vertex antiregular blocks with a 4-vertex tail on block 1's
-    degree-repeating vertex must be controllable for at least one input
-    covered by the chain theorem, with and without the tail.
-    """
-    cases = []
-    spec = CompositeSpec(structure=gen_antiregular(7), cell=gen_antiregular(5), s=3)
-    comp = composite(spec)
-    pred = predict_composite(spec, 4)
-    rank = kalman_rank_exact(laplacian(comp), input_vector(comp.n, [18]))
-    ok = rank == comp.n and pred.controllable and pred.input_vertex == 18
-    cases.append({
-        "case": "figure1d composite AR7(AR5,s=3) input=18",
-        "pass": bool(ok),
-        "detail": f"oracle rank {rank}/{comp.n}; predicted controllable={pred.controllable}",
-    })
-    for links in itertools.product("DT", repeat=4):
-        bare_spec = ChainSpec(c=5, k2=5, links=links)
-        tail_spec = ChainSpec(c=5, k2=5, links=links, tail=4)
-        bare = chain_antiregular(bare_spec)
-        tailed = chain_antiregular(tail_spec)
-        L_bare, L_tail = laplacian(bare), laplacian(tailed)
-        winners = []
-        for label, pattern in _FIG1C_INPUTS:
-            b_bare = np.zeros((bare.n, 1), dtype=np.int64)
-            b_bare[:5, 0] = pattern
-            try:
-                if not valid_chain_input(bare_spec, b_bare):
-                    continue
-            except OutOfSupport:
-                continue
-            b_tail = np.zeros((tailed.n, 1), dtype=np.int64)
-            b_tail[:5, 0] = pattern
-            ok_bare = kalman_rank_exact(L_bare, b_bare) == bare.n
-            ok_tail = kalman_rank_exact(L_tail, b_tail) == tailed.n
-            if ok_bare and ok_tail:
-                winners.append(label)
-        word = "".join(links)
-        cases.append({
-            "case": f"figure1c chain 5xAR5 links={word} tail=4@3",
-            "pass": bool(winners),
-            "detail": f"controllable with and without tail for b in [{', '.join(winners)}]",
-        })
-    return cases
-
-
-_PLAIN_SUITES = {
-    "composite": verify_composite,
-    "cj": verify_cj,
-    "chain": verify_chain,
-    "lemma6": verify_lemma6,
-    "lemma7": verify_lemma7,
-    "figure1": verify_figure1,
-}
+from .graph_core import (Graph, gen_antiregular, gen_complete, gen_path,
+                         gen_threshold, graph_from_json, graph_to_dot,
+                         graph_to_json, laplacian)
+from .spectral import ConvergenceError, eig_sym
+from .controllability import (Verdict, gramian_check, input_vector,
+                              kalman_rank_exact, pbh_verdict)
+from .compose import ChainSpec, CompositeSpec, chain_antiregular, composite, predict_composite
+from .verify import DEFAULT_SEED, SUITES
 
 
 # ---------------------------------------------------------------------------
@@ -392,10 +126,11 @@ def _cmd_chain(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    sweep = SUITES[args.suite]
     if args.suite == "majorization":
-        cases = verify_majorization(count=args.random, maxk=args.maxk, seed=args.seed)
+        cases = sweep(count=args.random, maxk=args.maxk, seed=args.seed)
     else:
-        cases = _PLAIN_SUITES[args.suite]()
+        cases = sweep()
     failures = 0
     for case in cases:
         print(json.dumps(case, separators=(", ", ": ")))
@@ -469,8 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_chain)
 
     p = sub.add_parser("verify", help="run a theorem-versus-oracle sweep")
-    p.add_argument("suite", choices=["composite", "cj", "chain", "lemma6",
-                                     "lemma7", "majorization", "figure1"])
+    p.add_argument("suite", choices=list(SUITES))
     p.add_argument("--random", type=int, default=100,
                    help="case count for the majorization suite")
     p.add_argument("--maxk", type=int, default=10,

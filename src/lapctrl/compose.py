@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph_core import Graph, gen_antiregular, is_connected, laplacian
-from .controllability import Verdict, input_vector, kalman_rank_exact
+from .controllability import Verdict, _as_control, input_vector, kalman_rank_exact
 from .spectral import antiregular_spectrum, default_gtol, eig_sym
 
 __all__ = [
@@ -270,15 +270,10 @@ def valid_chain_input(spec: ChainSpec, b) -> bool:
     entries need not be proportional to (1-m) and 1), the screen would
     misfire, and the base condition alone is the correct test.
     """
-    vec = np.asarray(b).ravel()
-    n = spec.c * spec.k2
-    if vec.shape != (n,):
-        raise ValueError(f"expected a length-{n} vector, got shape {np.asarray(b).shape}")
-    as_int = vec.astype(np.int64)
-    if not (vec.astype(float) == as_int).all() or not np.isin(as_int, (0, 1)).all():
-        raise ValueError("control vector entries must be 0 or 1")
-    if not as_int.any():
-        raise ValueError("control vector must have at least one nonzero entry")
+    mat = _as_control(b, spec.c * spec.k2)
+    if mat.shape[1] != 1:
+        raise ValueError(f"expected a single input column, got shape {mat.shape}")
+    as_int = mat[:, 0]
     if as_int[spec.k2:].any():
         raise OutOfSupport("input reaches outside block 1; the theorem does not cover it")
     block1 = as_int[:spec.k2]

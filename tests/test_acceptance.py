@@ -29,7 +29,7 @@ from lapctrl import (
     random_connected_graph,
     trace_of,
 )
-from lapctrl.cli import (
+from lapctrl.verify import (
     DEFAULT_SEED,
     verify_chain,
     verify_cj,
@@ -135,6 +135,14 @@ def test_c07_chain_eigenvector_support():
     assert ok, fails
 
 
+def test_lemma7_path_appending():
+    """Lemma 7 sweep: appending a path at a controlling vertex keeps the
+    spectrum simple and every eigenvector nonzero at the path's far end."""
+    cases = verify_lemma7()
+    fails = _failures(cases)
+    assert len(cases) == 120 and not fails, fails[:10]
+
+
 def test_c08_figure_reproduction():
     cases = verify_figure1()
     fails = _failures(cases)
@@ -229,7 +237,9 @@ def test_chain_eigenvector_support_known_exceptions():
     """Companion to the seventh criterion: the exact list of failing cases is
     stable, so a regression that changes the set (either direction) is caught
     even while the criterion itself stays red."""
-    fails = sorted(c["case"] for c in _failures(verify_lemma6()))
+    cases = verify_lemma6()
+    assert len(cases) == 60
+    fails = sorted(c["case"] for c in _failures(cases))
     assert fails == [
         "lemma6 c=3 k2=2 links=DT",
         "lemma6 c=3 k2=2 links=TT",

@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 from lapctrl import graph_to_json, gen_path
-from lapctrl.cli import main
+from lapctrl.cli import build_parser, main
+from lapctrl.verify import SUITES
 
 
 def run_cli(capsys, *argv):
@@ -232,6 +233,21 @@ class TestVerify:
     def test_unknown_suite_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["verify", "everything"])
+
+    def test_prints_the_library_cases(self, capsys):
+        cases = SUITES["lemma6"]()
+        failures = sum(not c["pass"] for c in cases)
+        code, out, _ = run_cli(capsys, "verify", "lemma6")
+        expected = [json.dumps(c, separators=(", ", ": ")) for c in cases]
+        expected.append(json.dumps({"suite": "lemma6", "cases": len(cases),
+                                    "failures": failures}, separators=(", ", ": ")))
+        assert out.splitlines() == expected
+        assert code == 1
+
+    def test_suite_choices_come_from_the_library(self):
+        verb = build_parser()._subparsers._group_actions[0].choices["verify"]
+        suite = next(a for a in verb._actions if a.dest == "suite")
+        assert suite.choices == list(SUITES)
 
 
 # ---------------------------------------------------------------------------

@@ -246,6 +246,8 @@ class TestValidChainInput:
             valid_chain_input(spec, [2, 0, 0, 0, 0, 0])  # non-binary
         with pytest.raises(ValueError):
             valid_chain_input(spec, [0] * 6)             # empty input
+        with pytest.raises(ValueError):
+            valid_chain_input(spec, np.eye(6, 2, dtype=int))  # two input columns
 
     def test_outside_block_one_is_out_of_support(self):
         spec = ChainSpec(c=2, k2=3, links=("D",))
