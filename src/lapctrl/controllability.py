@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from .graph_core import Graph, is_connected, laplacian
-from .spectral import default_gtol, eig_sym, eigenspaces
+from .spectral import eig_sym, eigenspaces
 
 __all__ = [
     "Verdict",
@@ -55,7 +55,6 @@ class Verdict:
     rank: int | None = None
     witness_value: float | None = None
     input_vertex: int | None = None
-    advisory: str | None = None
 
     def to_json(self) -> str:
         payload = {
@@ -115,31 +114,25 @@ def pbh_verdict(L, B, tol: float = 1e-8) -> Verdict:
     """Eigenvector test: controllable iff no eigenspace of L is orthogonal to
     the column space of B.
 
-    Projects the input columns onto each eigenspace. A single input can
-    never cover an eigenspace of dimension >= 2, so those short-circuit to
-    "uncontrollable". The returned witness is a unit eigenvector w with
-    ||L w - lambda w||_inf and |w^T b| both below tol.
+    L is decomposed once. For each eigenspace with orthonormal basis Q, the
+    SVD of the projections C = Q^T B decides it: the space is covered iff C
+    has as many singular values as Q has columns and the smallest exceeds
+    tol. C C^T is never formed, so the dynamic range is never squared. A
+    single input can never cover an eigenspace of dimension >= 2, since C
+    then has one singular value. The returned witness is a unit eigenvector
+    w = Q u (u the last left singular vector of C), with ||L w - lambda w||_inf
+    and |w^T b| both below tol.
     """
     Lmat = _check_square(L)
     n = Lmat.shape[0]
-    Bmat = _as_control(B, n)
-    p = Bmat.shape[1]
-    Bf = Bmat.astype(float)
+    Bf = _as_control(B, n).astype(float)
 
-    dec = eig_sym(Lmat)
-    for space in eigenspaces(dec):
+    for space in eigenspaces(eig_sym(Lmat)):
         Q = space.basis
-        m = Q.shape[1]
-        coeff = Q.T @ Bf  # m x p projections of the inputs
-        if p == 1 and m >= 2:
-            z = _orth_complement_direction(coeff[:, 0], tol)
-        else:
-            gram = coeff @ coeff.T
-            gdec = eig_sym(gram)
-            if math.sqrt(max(float(gdec.values[0]), 0.0)) > tol:
-                continue
-            z = gdec.modal[:, 0]
-        witness = Q @ z
+        u, s, _ = np.linalg.svd(Q.T @ Bf)
+        if len(s) == Q.shape[1] and s[-1] > tol:
+            continue
+        witness = Q @ u[:, -1]
         witness = witness / np.linalg.norm(witness)
         lead = int(np.argmax(np.abs(witness)))
         if witness[lead] < 0:
@@ -147,21 +140,6 @@ def pbh_verdict(L, B, tol: float = 1e-8) -> Verdict:
         return Verdict(controllable=False, method="pbh",
                        witness=witness, witness_value=space.value)
     return Verdict(controllable=True, method="pbh")
-
-
-def _orth_complement_direction(c: np.ndarray, tol: float) -> np.ndarray:
-    """Deterministic unit vector orthogonal to c, in dimension >= 2."""
-    m = len(c)
-    norm_c = float(np.linalg.norm(c))
-    if norm_c <= tol:
-        z = np.zeros(m)
-        z[0] = 1.0
-        return z
-    idx = int(np.argmin(np.abs(c)))
-    z = np.zeros(m)
-    z[idx] = 1.0
-    z -= (c[idx] / norm_c**2) * c
-    return z / np.linalg.norm(z)
 
 
 # ---------------------------------------------------------------------------
@@ -290,12 +268,8 @@ def gramian_check(L, B, horizon: float = 1.0, steps: int = 200) -> GramianResult
 # ---------------------------------------------------------------------------
 
 def decide(L, B) -> Verdict:
-    """Default decision: exact Kalman up to order 64, PBH beyond that.
-
-    The PBH fallback carries an advisory note whenever some eigenvalue gap
-    sits within 10x of the grouping tolerance, since the clustering is then
-    less trustworthy than usual.
-    """
+    """Default decision: exact Kalman up to order 64, PBH beyond that (or for
+    a non-integer L)."""
     Lmat = _check_square(L)
     n = Lmat.shape[0]
     as_int = Lmat.astype(np.int64)
@@ -303,13 +277,4 @@ def decide(L, B) -> Verdict:
     if n <= EXACT_ORDER_CAP and exact_ok:
         rank = kalman_rank_exact(Lmat, B)
         return Verdict(controllable=(rank == n), method="exact", rank=rank)
-    verdict = pbh_verdict(Lmat, B)
-    dec = eig_sym(Lmat)
-    gaps = np.diff(dec.values)
-    gtol = default_gtol(dec.values)
-    risky = gaps[(gaps > gtol) & (gaps < 10 * gtol)]
-    if len(risky):
-        note = (f"{len(risky)} eigenvalue gap(s) within 10x of the grouping "
-                f"tolerance {gtol:.3e}; PBH clustering may be unreliable")
-        verdict = replace(verdict, advisory=note)
-    return verdict
+    return pbh_verdict(Lmat, B)

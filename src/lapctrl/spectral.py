@@ -109,7 +109,8 @@ def eigenspaces(dec: EigDecomp, gtol: float | None = None) -> list[Eigenspace]:
     """Cluster a decomposition into eigenspaces by adjacent-gap grouping.
 
     Values whose consecutive gaps are <= gtol share a cluster; each cluster's
-    basis is re-orthonormalized with modified Gram-Schmidt.
+    basis is its slice of the modal matrix, whose columns LAPACK already
+    returns orthonormal, so no re-orthonormalization is done.
     """
     if gtol is None:
         gtol = default_gtol(dec.values)
@@ -120,12 +121,8 @@ def eigenspaces(dec: EigDecomp, gtol: float | None = None) -> list[Eigenspace]:
         hi = lo + 1
         while hi < k and dec.values[hi] - dec.values[hi - 1] <= gtol:
             hi += 1
-        basis = dec.modal[:, lo:hi].astype(float).copy()
-        for j in range(basis.shape[1]):
-            for i in range(j):
-                basis[:, j] -= (basis[:, i] @ basis[:, j]) * basis[:, i]
-            basis[:, j] /= np.linalg.norm(basis[:, j])
-        spaces.append(Eigenspace(value=float(np.mean(dec.values[lo:hi])), basis=basis))
+        spaces.append(Eigenspace(value=float(np.mean(dec.values[lo:hi])),
+                                 basis=dec.modal[:, lo:hi]))
         lo = hi
     return spaces
 

@@ -187,7 +187,14 @@ def verify_lemma7() -> list[dict]:
 
 def verify_majorization(count: int = 100, maxk: int = 10,
                         seed: int = DEFAULT_SEED) -> list[dict]:
-    """Spectrum majorized by the conjugate degree sequence, random graphs."""
+    """Spectrum majorized by the conjugate degree sequence, random graphs.
+
+    Needs count >= 1 cases and largest order maxk >= 2, else ValueError.
+    """
+    if count < 1:
+        raise ValueError(f"majorization needs at least one case, got {count}")
+    if maxk < 2:
+        raise ValueError(f"majorization needs a largest order of at least 2, got {maxk}")
     rng = random.Random(seed)
     cases = []
     for i in range(1, count + 1):

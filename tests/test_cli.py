@@ -230,6 +230,13 @@ class TestVerify:
         assert code == 0
         assert json.loads(out.strip().splitlines()[-1])["cases"] == 10
 
+    @pytest.mark.parametrize("option, value", [("--random", "0"), ("--random", "-3"),
+                                               ("--maxk", "1")])
+    def test_majorization_rejects_an_empty_sweep(self, capsys, option, value):
+        code, out, err = run_cli(capsys, "verify", "majorization", option, value)
+        assert code == 2 and out == ""
+        assert err.startswith("error: majorization needs")
+
     def test_unknown_suite_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["verify", "everything"])

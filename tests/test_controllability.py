@@ -8,6 +8,7 @@ import pytest
 
 from lapctrl import (
     GRAMIAN_EIG_FLOOR,
+    Graph,
     GramianResult,
     Verdict,
     controllable_vertices,
@@ -26,6 +27,11 @@ from lapctrl import (
 
 def _ev(n, *vertices):
     return input_vector(n, vertices)
+
+
+def _star(n):
+    """K_{1,n-1} with vertex 1 at the center."""
+    return Graph.from_edges(n, [(1, v) for v in range(2, n + 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -79,9 +85,14 @@ class TestPBH:
         # the complete graph has an eigenspace of dimension n-1; one input
         # can never cover it
         for n in (3, 4, 5):
-            v = pbh_verdict(laplacian(gen_complete(n)), _ev(n, 1))
+            L = laplacian(gen_complete(n))
+            v = pbh_verdict(L, _ev(n, 1))
             assert not v.controllable
             assert v.witness_value == pytest.approx(float(n), abs=1e-7)
+            w = v.witness
+            assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-12)
+            assert abs(float(w @ _ev(n, 1).ravel())) < 1e-10
+            assert np.max(np.abs(L @ w - n * w)) < 1e-8
 
     def test_two_inputs_cover_complete3(self):
         L = laplacian(gen_complete(3))
@@ -92,6 +103,39 @@ class TestPBH:
         L = laplacian(gen_path(3))
         B = np.hstack([_ev(3, 1), _ev(3, 3)])
         assert pbh_verdict(L, B).controllable
+
+    def test_star_with_three_leaf_inputs_is_uncontrollable(self):
+        # the eigenvalue-1 eigenspace of K_{1,5} has dimension 4, more than
+        # three inputs can cover; a Gram matrix C C^T of the projections would
+        # read its structural zero as ~1e-16, whose square root clears tol
+        L = laplacian(_star(6))
+        B = np.hstack([_ev(6, 2), _ev(6, 3), _ev(6, 4)])
+        assert kalman_rank_exact(L, B) == 5
+        v = pbh_verdict(L, B)
+        assert not v.controllable
+        assert v.witness_value == pytest.approx(1.0, abs=1e-8)
+        assert np.max(np.abs(B.T @ v.witness)) < 1e-10
+
+    @pytest.mark.parametrize("columns", [2, 3])
+    def test_multi_input_stars_and_complete_graphs_match_exact(self, columns):
+        for n in range(4, 41):
+            B = np.hstack([_ev(n, v) for v in range(2, 2 + columns)])
+            for g in (_star(n), gen_complete(n)):
+                L = laplacian(g)
+                assert pbh_verdict(L, B).controllable == (kalman_rank_exact(L, B) == n), (n, g)
+
+    def test_one_decomposition_per_decision(self, monkeypatch):
+        import lapctrl.controllability as ctrl
+        calls = []
+
+        def counting(m, *args, **kwargs):
+            calls.append(np.shape(m))
+            return eig_sym(m, *args, **kwargs)
+
+        monkeypatch.setattr(ctrl, "eig_sym", counting)
+        # controllable, so every one of the 36 eigenspaces is visited
+        assert pbh_verdict(laplacian(gen_path(36)), _ev(36, 1)).controllable
+        assert calls == [(36, 36)]
 
     def test_input_validation(self):
         L = laplacian(gen_path(3))

@@ -122,6 +122,11 @@ class TestEigenspaces:
         spaces = eigenspaces(eig_sym(laplacian(gen_complete(4))))
         big = spaces[1].basis
         assert np.allclose(big.T @ big, np.eye(3), atol=1e-10)
+        # the bases are LAPACK's columns, used as they come
+        for g in (gen_complete(5), gen_threshold("UUUUJ"), gen_threshold("UJUJ")):
+            for space in eigenspaces(eig_sym(laplacian(g))):
+                Q = space.basis
+                assert np.allclose(Q.T @ Q, np.eye(space.multiplicity), rtol=0, atol=1e-12)
 
     def test_explicit_gtol_merges_clusters(self):
         dec = eig_sym(np.diag([0.0, 1.0, 1.4]))
