@@ -19,7 +19,7 @@ from .spectral import ConvergenceError, eig_sym
 from .controllability import (Verdict, gramian_check, input_vector,
                               kalman_rank_exact, pbh_verdict)
 from .compose import ChainSpec, CompositeSpec, chain_antiregular, composite, predict_composite
-from .verify import DEFAULT_SEED, SUITES
+from .verify import SUITES
 
 
 # ---------------------------------------------------------------------------
@@ -126,11 +126,12 @@ def _cmd_chain(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    sweep = SUITES[args.suite]
-    if args.suite == "majorization":
-        cases = sweep(count=args.random, maxk=args.maxk, seed=args.seed)
-    else:
-        cases = sweep()
+    given = {"count": args.random, "maxk": args.maxk, "seed": args.seed}
+    options = {name: value for name, value in given.items() if value is not None}
+    if options and args.suite != "majorization":
+        raise ValueError(f"verify {args.suite} takes no --random, --maxk or --seed; "
+                         "they apply to the majorization suite only")
+    cases = SUITES[args.suite](**options)
     failures = 0
     for case in cases:
         print(json.dumps(case, separators=(", ", ": ")))
@@ -170,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", "-o")
     p.set_defaults(func=_cmd_spectrum)
 
-    p = sub.add_parser("check", help="decide controllability for one input")
+    p = sub.add_parser("check", help="test controllability for one input")
     p.add_argument("graph", help="graph JSON file, or - for stdin")
     p.add_argument("--input", type=int, nargs="+", required=True,
                    help="vertices wired to the single input")
@@ -205,11 +206,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a theorem-versus-oracle sweep")
     p.add_argument("suite", choices=list(SUITES))
-    p.add_argument("--random", type=int, default=100,
+    p.add_argument("--random", type=int,
                    help="case count for the majorization suite")
-    p.add_argument("--maxk", type=int, default=10,
+    p.add_argument("--maxk", type=int,
                    help="largest graph order for the majorization suite")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=int, help="random seed for the majorization suite")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("export", help="re-emit a graph as DOT or normalized JSON")

@@ -12,7 +12,7 @@ test suite cross-checks against the exact Kalman oracle:
   vertex, optionally finished with a dangling path,
 * path appending: a path attached to any vertex of any graph.
 
-Also here: the C_j arithmetic classes that decide where a path may be
+Also here: the C_j arithmetic classes that tell where a path may be
 driven from, and the block-1 input predicate for chains.
 """
 
@@ -32,9 +32,7 @@ __all__ = [
     "CompositeSpec",
     "ChainSpec",
     "composite",
-    "composite_modal",
     "predict_composite",
-    "cj_index",
     "cj_contains",
     "path_split_controllable",
     "chain_antiregular",
@@ -88,28 +86,6 @@ def composite(spec: CompositeSpec) -> Graph:
     return Graph.from_edges(k1 * k2, edges)
 
 
-def composite_modal(spec: CompositeSpec) -> list[tuple[float, np.ndarray]]:
-    """All k1*k2 eigenpairs of the composite Laplacian, built blockwise.
-
-    For each structure eigenpair (lam_i, v_i), the matrix
-    L_cell + lam_i e_s e_s^T is diagonalized; each of its eigenpairs
-    (mu, u) yields the composite eigenpair (mu, v_i (x) u). Pairs are
-    returned in (i, cell-eigenvalue) order and form an orthogonal set.
-    """
-    k2 = spec.cell.n
-    L2 = laplacian(spec.cell).astype(float)
-    dec1 = eig_sym(laplacian(spec.structure))
-    es = np.zeros((k2, k2))
-    es[spec.s - 1, spec.s - 1] = 1.0
-    pairs: list[tuple[float, np.ndarray]] = []
-    for i in range(spec.structure.n):
-        v_i = dec1.modal[:, i]
-        dec_i = eig_sym(L2 + dec1.values[i] * es)
-        for j in range(k2):
-            pairs.append((float(dec_i.values[j]), np.kron(v_i, dec_i.modal[:, j])))
-    return pairs
-
-
 def predict_composite(spec: CompositeSpec, w: int) -> Verdict:
     """Theorem-based verdict for the composite driven at copy w's vertex s.
 
@@ -140,22 +116,6 @@ def cj_contains(j: int, m: int) -> bool:
     if j < 1:
         raise ValueError("class index must be >= 1")
     return m >= j and (m - j) % (2 * j + 1) == 0
-
-
-def cj_index(m: int) -> int | None:
-    """Smallest j with m in C_j, or None for m = 0.
-
-    Classes overlap (7 sits in both C_1 and C_2), so this is the least
-    index, not the only one; use cj_contains to test a specific class.
-    """
-    if m < 0:
-        raise ValueError("side length must be nonnegative")
-    if m == 0:
-        return None
-    for j in range(1, m + 1):
-        if cj_contains(j, m):
-            return j
-    raise AssertionError("unreachable: m is always in C_m")
 
 
 def path_split_controllable(k11: int, k12: int) -> bool:

@@ -32,11 +32,10 @@ __all__ = [
     "kalman_rank_exact",
     "controllable_vertices",
     "gramian_check",
-    "decide",
+    "GRAMIAN_EIG_FLOOR",
 ]
 
 GRAMIAN_EIG_FLOOR = 1e-24  # positivity threshold, times trace(W)/n
-EXACT_ORDER_CAP = 64       # decide() uses the exact oracle up to this order
 
 
 @dataclass(frozen=True)
@@ -229,8 +228,8 @@ def gramian_check(L, B, horizon: float = 1.0, steps: int = 200) -> GramianResult
     (steps + 1) * inputs >= n samples; below that the quadrature Gramian is
     structurally rank deficient and the pair reports uncontrollable.
     """
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
+    if not 0 < horizon < math.inf:
+        raise ValueError("horizon must be a positive finite number")
     if steps < 16:
         raise ValueError("need at least 16 quadrature steps")
     if steps % 2:
@@ -261,20 +260,3 @@ def gramian_check(L, B, horizon: float = 1.0, steps: int = 200) -> GramianResult
     trace = float(np.sum(sig ** 2))
     floor = GRAMIAN_EIG_FLOOR * trace / n
     return GramianResult(min_eigenvalue=min_eig, controllable=min_eig > floor)
-
-
-# ---------------------------------------------------------------------------
-# default decision procedure
-# ---------------------------------------------------------------------------
-
-def decide(L, B) -> Verdict:
-    """Default decision: exact Kalman up to order 64, PBH beyond that (or for
-    a non-integer L)."""
-    Lmat = _check_square(L)
-    n = Lmat.shape[0]
-    as_int = Lmat.astype(np.int64)
-    exact_ok = bool((np.asarray(Lmat, dtype=float) == as_int).all())
-    if n <= EXACT_ORDER_CAP and exact_ok:
-        rank = kalman_rank_exact(Lmat, B)
-        return Verdict(controllable=(rank == n), method="exact", rank=rank)
-    return pbh_verdict(Lmat, B)

@@ -6,12 +6,13 @@ deterministic on one numpy/LAPACK build; across builds it may differ at
 rounding level, and the basis chosen inside a repeated eigenspace is
 LAPACK's. Verdicts depend only on eigenspaces, never on that basis.
 Alongside it live the closed forms this package leans on: the integer
-antiregular spectrum, an all-integer antiregular eigenvector construction,
-and the cosine eigenvectors of a path.
+antiregular spectrum and an all-integer antiregular eigenvector
+construction.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +28,6 @@ __all__ = [
     "default_gtol",
     "antiregular_spectrum",
     "antiregular_modal",
-    "path_modal",
     "check_majorization",
 ]
 
@@ -82,8 +82,8 @@ def eig_sym(m, rtol: float = 1e-8) -> EigDecomp:
         raise ValueError(f"expected a square matrix, got shape {raw.shape}")
     if not (raw == raw.T).all():
         raise ValueError("matrix is not symmetric")
-    if rtol <= 0:
-        raise ValueError("rtol must be positive")
+    if not 0 < rtol < math.inf:
+        raise ValueError("rtol must be a positive finite number")
 
     a = raw.astype(float)
     try:
@@ -163,19 +163,6 @@ def antiregular_modal(k: int) -> np.ndarray:
     z = int(zero_cols[0])
     kept = np.delete(t3, z, axis=1)
     return np.concatenate([np.ones((k, 1), dtype=np.int64), kept[:, ::-1]], axis=1)
-
-
-def path_modal(k: int) -> np.ndarray:
-    """Cosine eigenvectors of the k-vertex path Laplacian, one per column.
-
-    Column i holds cos((i-1)(2j-1)pi/(2k)) at entry j and pairs with the
-    i-th smallest eigenvalue; column 1 is the all-ones vector.
-    """
-    if k < 1:
-        raise ValueError("path needs at least one vertex")
-    i = np.arange(1, k + 1)[None, :]
-    j = np.arange(1, k + 1)[:, None]
-    return np.cos((i - 1) * (2 * j - 1) * np.pi / (2 * k))
 
 
 def check_majorization(values, dstar) -> bool:

@@ -86,6 +86,11 @@ class TestSpectrum:
         code, _, err = run_cli(capsys, "spectrum", str(tmp_path / "absent.json"))
         assert code == 2 and err.startswith("error:")
 
+    def test_nan_rtol_is_an_error(self, capsys, path3_file):
+        code, out, err = run_cli(capsys, "spectrum", path3_file, "--rtol", "nan")
+        assert code == 2 and out == ""
+        assert err.startswith("error: rtol must be a positive finite number")
+
 
 # ---------------------------------------------------------------------------
 # check
@@ -109,7 +114,8 @@ class TestCheck:
         code, out, _ = run_cli(capsys, "check", path3_file, "--input", "2",
                                "--method", "exact")
         assert code == 0
-        assert json.loads(out)["rank"] == 2
+        assert json.loads(out) == {"controllable": False, "method": "exact",
+                                   "witness": None, "rank": 2}
 
     def test_gramian_method(self, capsys, path3_file):
         code, out, _ = run_cli(capsys, "check", path3_file, "--input", "3",
@@ -236,6 +242,12 @@ class TestVerify:
         code, out, err = run_cli(capsys, "verify", "majorization", option, value)
         assert code == 2 and out == ""
         assert err.startswith("error: majorization needs")
+
+    @pytest.mark.parametrize("option", ["--random", "--maxk", "--seed"])
+    def test_majorization_options_rejected_for_other_suites(self, capsys, option):
+        code, out, err = run_cli(capsys, "verify", "cj", option, "3")
+        assert code == 2 and out == ""
+        assert err.startswith("error: verify cj takes no --random, --maxk or --seed")
 
     def test_unknown_suite_rejected(self, capsys):
         with pytest.raises(SystemExit):

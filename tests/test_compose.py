@@ -11,9 +11,7 @@ from lapctrl import (
     append_path,
     chain_antiregular,
     cj_contains,
-    cj_index,
     composite,
-    composite_modal,
     gen_antiregular,
     gen_complete,
     gen_path,
@@ -52,20 +50,6 @@ class TestComposite:
         disconnected = gen_threshold_like_disconnected()
         with pytest.raises(ValueError):
             CompositeSpec(structure=disconnected, cell=gen_path(2), s=1)
-
-    def test_modal_pairs_satisfy_eigen_equation(self):
-        spec = CompositeSpec(structure=gen_path(3), cell=gen_antiregular(4), s=2)
-        L = laplacian(composite(spec)).astype(float)
-        pairs = composite_modal(spec)
-        assert len(pairs) == 12
-        for lam, vec in pairs:
-            assert np.max(np.abs(L @ vec - lam * vec)) < 1e-7
-
-    def test_modal_pairs_orthogonal(self):
-        spec = CompositeSpec(structure=gen_path(2), cell=gen_antiregular(3), s=1)
-        vecs = np.stack([v for _, v in composite_modal(spec)], axis=1)
-        gram = vecs.T @ vecs
-        assert np.max(np.abs(gram - np.diag(np.diag(gram)))) < 1e-8
 
     def test_predict_matches_composite_oracle(self):
         spec = CompositeSpec(structure=gen_antiregular(7), cell=gen_antiregular(5), s=3)
@@ -113,18 +97,9 @@ class TestCjClasses:
         for m in range(1, 50):
             assert cj_contains(m, m)
 
-    def test_index_is_least_class(self):
-        assert cj_index(0) is None
-        assert cj_index(1) == 1
-        assert cj_index(2) == 2
-        assert cj_index(7) == 1      # 7 sits in both C_1 and C_2
-        assert cj_index(12) == 2
-
     def test_errors(self):
         with pytest.raises(ValueError):
             cj_contains(0, 3)
-        with pytest.raises(ValueError):
-            cj_index(-1)
 
     def test_path_split_examples(self):
         assert path_split_controllable(0, 5)        # end of a path

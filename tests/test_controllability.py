@@ -12,7 +12,6 @@ from lapctrl import (
     GramianResult,
     Verdict,
     controllable_vertices,
-    decide,
     eig_sym,
     gen_complete,
     gen_path,
@@ -63,6 +62,9 @@ class TestPBH:
     def test_path3_end_controllable(self):
         v = pbh_verdict(laplacian(gen_path(3)), _ev(3, 1))
         assert v.controllable and v.method == "pbh" and v.witness is None
+        # a non-integer L, which the exact oracle refuses, is decided the same
+        v = pbh_verdict(1.5 * laplacian(gen_path(3)), _ev(3, 1))
+        assert v.controllable and v.witness is None
 
     def test_path3_center_uncontrollable_with_witness(self):
         L = laplacian(gen_path(3))
@@ -175,6 +177,9 @@ class TestKalmanExact:
         # exact arithmetic survives huge entries without precision loss
         L = laplacian(gen_path(5))
         assert kalman_rank_exact(10**9 * L, _ev(5, 2)) == kalman_rank_exact(L, _ev(5, 2))
+        # ... but a non-integer scale leaves exact arithmetic, so it is refused
+        with pytest.raises(ValueError, match="integer"):
+            kalman_rank_exact(1.5 * laplacian(gen_path(3)), _ev(3, 1))
 
     def test_permutation_invariance(self):
         L = laplacian(gen_path(4))
@@ -262,6 +267,9 @@ class TestGramian:
             gramian_check(L, _ev(2, 1), horizon=0.0)
         with pytest.raises(ValueError):
             gramian_check(L, _ev(2, 1), horizon=-1.0)
+        for horizon in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="positive finite"):
+                gramian_check(L, _ev(2, 1), horizon=horizon)
         with pytest.raises(ValueError):
             gramian_check(L, _ev(2, 1), steps=8)
 
@@ -312,26 +320,10 @@ def _path_gramian_reference(mp, k, steps=200):
 
 
 # ---------------------------------------------------------------------------
-# combined decision and cross-method agreement
+# cross-method agreement
 # ---------------------------------------------------------------------------
 
-class TestDecide:
-    def test_small_integer_case_uses_exact(self):
-        v = decide(laplacian(gen_path(3)), _ev(3, 2))
-        assert v.method == "exact" and v.rank == 2 and not v.controllable
-
-    def test_noninteger_matrix_falls_back_to_pbh(self):
-        L = 1.5 * laplacian(gen_path(3)).astype(float)
-        v = decide(L, _ev(3, 1))
-        assert v.method == "pbh" and v.controllable
-
-    def test_verdict_json(self):
-        import json
-        v = decide(laplacian(gen_path(3)), _ev(3, 1))
-        payload = json.loads(v.to_json())
-        assert payload == {"controllable": True, "method": "exact",
-                           "witness": None, "rank": 3}
-
+class TestMethodsAgree:
     def test_three_methods_agree_on_random_instances(self):
         rng = random.Random(21)
         seen_uncontrollable = 0

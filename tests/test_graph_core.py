@@ -1,5 +1,6 @@
-"""Graph construction, degree-sequence algebra, and serialization."""
+"""Graph construction, degree-sequence algebra, serialization, and the public surface."""
 
+import inspect
 import itertools
 import json
 import random
@@ -261,3 +262,23 @@ class TestSerialization:
         g = random_connected_graph(k, random.Random(seed))
         back = graph_from_json(graph_to_json(g))
         assert back.n == g.n and back.edges == g.edges
+
+
+# ---------------------------------------------------------------------------
+# public surface
+# ---------------------------------------------------------------------------
+
+def test_package_all_is_the_modules_all():
+    import lapctrl
+    from lapctrl import compose, controllability, graph_core, spectral
+
+    expected = [*graph_core.__all__, *spectral.__all__, *controllability.__all__,
+                *compose.__all__, "__version__"]
+    assert lapctrl.__all__ == expected
+    assert len(set(expected)) == len(expected)
+    for name in expected:
+        getattr(lapctrl, name)
+    # nothing public outside the list: a deleted name cannot linger
+    exposed = {name for name, value in vars(lapctrl).items()
+               if not name.startswith("_") and not inspect.ismodule(value)}
+    assert exposed == set(expected) - {"__version__"}

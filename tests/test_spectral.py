@@ -21,7 +21,6 @@ from lapctrl import (
     gen_path,
     gen_threshold,
     laplacian,
-    path_modal,
     random_connected_graph,
 )
 
@@ -31,9 +30,11 @@ from lapctrl import (
 # ---------------------------------------------------------------------------
 
 class TestEigSym:
-    def test_path3_spectrum(self):
-        dec = eig_sym(laplacian(gen_path(3)))
-        assert np.allclose(dec.values, [0.0, 1.0, 3.0], atol=1e-10)
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_path_spectrum(self, k):
+        dec = eig_sym(laplacian(gen_path(k)))
+        expected = 2 - 2 * np.cos(np.arange(k) * np.pi / k)
+        assert np.allclose(dec.values, expected, rtol=0, atol=1e-10)
 
     def test_complete4_spectrum(self):
         dec = eig_sym(laplacian(gen_complete(4)))
@@ -63,6 +64,11 @@ class TestEigSym:
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
             eig_sym(np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("rtol", [0.0, -1e-8, float("nan"), float("inf")])
+    def test_rejects_rtol_that_is_not_positive_and_finite(self, rtol):
+        with pytest.raises(ValueError, match="rtol"):
+            eig_sym(laplacian(gen_path(3)), rtol=rtol)
 
     def test_scalar_matrix(self):
         dec = eig_sym(np.array([[5.0]]))
@@ -182,23 +188,6 @@ class TestAntiregularModal:
         for k in range(2, 10):
             M = antiregular_modal(k)
             assert np.all(np.any(M != 0, axis=0))
-
-
-class TestPathModal:
-    @pytest.mark.parametrize("k", range(1, 9))
-    def test_eigen_equation(self, k):
-        L = laplacian(gen_path(k)).astype(float)
-        M = path_modal(k)
-        vals = eig_sym(L).values
-        resid = L @ M - M * vals
-        assert np.max(np.abs(resid)) < 1e-8
-
-    def test_raw_cosine_table_norms(self):
-        # the table is unnormalized: all-ones first column, then cosine
-        # columns of squared norm k/2
-        M = path_modal(6)
-        assert np.array_equal(M[:, 0], np.ones(6))
-        assert np.allclose(np.linalg.norm(M[:, 1:], axis=0), np.sqrt(3.0), atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
