@@ -117,6 +117,13 @@ class TestCheck:
         assert json.loads(out) == {"controllable": False, "method": "exact",
                                    "witness": None, "rank": 2}
 
+    def test_exact_method_verdict_json(self, capsys, path3_file):
+        code, out, _ = run_cli(capsys, "check", path3_file, "--input", "1",
+                               "--method", "exact")
+        assert code == 0
+        assert json.loads(out) == {"controllable": True, "method": "exact",
+                                   "witness": None, "rank": 3}
+
     def test_gramian_method(self, capsys, path3_file):
         code, out, _ = run_cli(capsys, "check", path3_file, "--input", "3",
                                "--method", "gramian", "--horizon", "2.0")

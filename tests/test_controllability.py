@@ -62,9 +62,11 @@ class TestPBH:
     def test_path3_end_controllable(self):
         v = pbh_verdict(laplacian(gen_path(3)), _ev(3, 1))
         assert v.controllable and v.method == "pbh" and v.witness is None
-        # a non-integer L, which the exact oracle refuses, is decided the same
+
+    def test_noninteger_laplacian_end_controllable(self):
+        # a non-integer L, which the exact oracle refuses, is decided by PBH
         v = pbh_verdict(1.5 * laplacian(gen_path(3)), _ev(3, 1))
-        assert v.controllable and v.witness is None
+        assert v.controllable and v.method == "pbh" and v.witness is None
 
     def test_path3_center_uncontrollable_with_witness(self):
         L = laplacian(gen_path(3))

@@ -30,6 +30,10 @@ from lapctrl import (
 # ---------------------------------------------------------------------------
 
 class TestEigSym:
+    def test_path3_spectrum(self):
+        dec = eig_sym(laplacian(gen_path(3)))
+        assert np.allclose(dec.values, [0.0, 1.0, 3.0], atol=1e-10)
+
     @pytest.mark.parametrize("k", range(1, 9))
     def test_path_spectrum(self, k):
         dec = eig_sym(laplacian(gen_path(k)))
