@@ -42,10 +42,14 @@ def _cmd_gen(args) -> int:
     if args.family == "threshold":
         if not args.creation:
             raise ValueError("gen threshold needs --creation (a word over J/U)")
+        if args.k is not None:
+            raise ValueError("gen threshold takes no --k; --creation sets its order")
         g = gen_threshold(args.creation)
     else:
         if args.k is None:
             raise ValueError(f"gen {args.family} needs --k")
+        if args.creation:
+            raise ValueError(f"gen {args.family} takes no --creation; it is for threshold")
         g = {"path": gen_path, "antiregular": gen_antiregular,
              "complete": gen_complete}[args.family](args.k)
     _emit(graph_to_json(g), args.output)
@@ -59,42 +63,51 @@ def _cmd_spectrum(args) -> int:
         "values": [float(x) for x in dec.values],
         "modal": [[float(x) for x in dec.modal[:, j]] for j in range(g.n)],
     }
-    _emit(json.dumps(payload, separators=(", ", ": ")), args.output)
+    _emit(json.dumps(payload), args.output)
     return 0
 
 
-def _verdict_payload(verdict) -> dict:
-    return json.loads(verdict.to_json())
+def _verdict_payload(verdict: Verdict) -> dict:
+    """The JSON fields of a verdict, the one output format of every method."""
+    witness = verdict.witness
+    return {"controllable": verdict.controllable, "method": verdict.method,
+            "witness": None if witness is None else [float(x) for x in witness],
+            "rank": verdict.rank}
 
 
-def _check_verdict(method: str, L, b, args) -> Verdict:
+def _check_verdict(method: str, L, b, gramian_options: dict) -> Verdict:
     """Decide controllability of (L, b) by one method of ``check``."""
     if method == "exact":
         rank = kalman_rank_exact(L, b)
         return Verdict(controllable=rank == len(L), method="exact", rank=rank)
     if method == "gramian":
-        gram = gramian_check(L, b, horizon=args.horizon, steps=args.steps)
-        return Verdict(controllable=gram.controllable, method="gramian")
+        return gramian_check(L, b, **gramian_options)
     return pbh_verdict(L, b)
 
 
 def _cmd_check(args) -> int:
+    given = {"horizon": args.horizon, "steps": args.steps}
+    options = {name: value for name, value in given.items() if value is not None}
+    if options and args.method not in ("gramian", "all"):
+        raise ValueError(f"check --method {args.method} takes no --horizon or --steps; "
+                         "they apply to the gramian and all methods only")
     g = _load_graph(args.graph)
     L = laplacian(g)
     b = input_vector(g.n, args.input)
+    agree = True
     if args.method == "all":
-        verdicts = {m: _check_verdict(m, L, b, args) for m in ("exact", "pbh", "gramian")}
+        verdicts = {m: _check_verdict(m, L, b, options) for m in ("exact", "pbh", "gramian")}
         agree = len({v.controllable for v in verdicts.values()}) == 1
         payload = {"agree": agree,
                    **{m: _verdict_payload(v) for m, v in verdicts.items()}}
         decision = verdicts["exact"].controllable
-        _emit(json.dumps(payload, separators=(", ", ": ")), args.output)
-        if not agree:
-            return 1
     else:
-        verdict = _check_verdict(args.method, L, b, args)
+        verdict = _check_verdict(args.method, L, b, options)
+        payload = _verdict_payload(verdict)
         decision = verdict.controllable
-        _emit(verdict.to_json(), args.output)
+    _emit(json.dumps(payload), args.output)
+    if not agree:
+        return 1
     if args.expect is not None:
         wanted = args.expect == "controllable"
         if decision != wanted:
@@ -114,11 +127,13 @@ def _cmd_compose(args) -> int:
         return 0
     verdict = predict_composite(spec, args.predict)
     payload = {"input": verdict.input_vertex, **_verdict_payload(verdict)}
-    _emit(json.dumps(payload, separators=(", ", ": ")), args.output)
+    _emit(json.dumps(payload), args.output)
     return 0
 
 
 def _cmd_chain(args) -> int:
+    if args.tail_attach is not None and not args.tail:
+        raise ValueError("chain --tail-attach needs a positive --tail")
     spec = ChainSpec(c=args.c, k2=args.k2, links=tuple(args.links),
                      tail=args.tail, tail_attach=args.tail_attach)
     _emit(graph_to_json(chain_antiregular(spec)), args.output)
@@ -134,10 +149,9 @@ def _cmd_verify(args) -> int:
     cases = SUITES[args.suite](**options)
     failures = 0
     for case in cases:
-        print(json.dumps(case, separators=(", ", ": ")))
+        print(json.dumps(case))
         failures += 0 if case["pass"] else 1
-    print(json.dumps({"suite": args.suite, "cases": len(cases),
-                      "failures": failures}, separators=(", ", ": ")))
+    print(json.dumps({"suite": args.suite, "cases": len(cases), "failures": failures}))
     return 0 if failures == 0 else 1
 
 
@@ -178,8 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["exact", "pbh", "gramian", "all"],
                    default="pbh")
     p.add_argument("--expect", choices=["controllable", "uncontrollable"])
-    p.add_argument("--horizon", type=float, default=1.0)
-    p.add_argument("--steps", type=int, default=200)
+    p.add_argument("--horizon", type=float, help="Gramian horizon (gramian and all)")
+    p.add_argument("--steps", type=int, help="Gramian quadrature steps (gramian and all)")
     p.add_argument("--output", "-o")
     p.set_defaults(func=_cmd_check)
 

@@ -12,12 +12,13 @@ test suite cross-checks against the exact Kalman oracle:
   vertex, optionally finished with a dangling path,
 * path appending: a path attached to any vertex of any graph.
 
-Also here: the C_j arithmetic classes that tell where a path may be
-driven from, and the block-1 input predicate for chains.
+Also here: the path-split predicate that tells where a path may be driven
+from, and the block-1 input predicate for chains.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +34,6 @@ __all__ = [
     "ChainSpec",
     "composite",
     "predict_composite",
-    "cj_contains",
     "path_split_controllable",
     "chain_antiregular",
     "valid_chain_input",
@@ -108,25 +108,17 @@ def predict_composite(spec: CompositeSpec, w: int) -> Verdict:
 
 
 # ---------------------------------------------------------------------------
-# C_j classes and path splits
+# path splits
 # ---------------------------------------------------------------------------
-
-def cj_contains(j: int, m: int) -> bool:
-    """Membership of m in C_j = {j, j+(2j+1), j+2(2j+1), ...}."""
-    if j < 1:
-        raise ValueError("class index must be >= 1")
-    return m >= j and (m - j) % (2 * j + 1) == 0
-
 
 def path_split_controllable(k11: int, k12: int) -> bool:
     """Whether an input splitting a path into sides of k11 and k12 vertices
-    controls it: true iff no single class C_j contains both side lengths."""
+    controls it: true iff no class C_j = {j, j+(2j+1), j+2(2j+1), ...}
+    (j >= 1) contains both side lengths. Since m is in C_j exactly when
+    2j+1 divides 2m+1, that is gcd(2 k11 + 1, 2 k12 + 1) == 1."""
     if k11 < 0 or k12 < 0:
         raise ValueError("side lengths must be nonnegative")
-    for j in range(1, min(k11, k12) + 1):
-        if cj_contains(j, k11) and cj_contains(j, k12):
-            return False
-    return True
+    return math.gcd(2 * k11 + 1, 2 * k12 + 1) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -14,19 +14,17 @@ same as for (L, B).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
 from .graph_core import Graph, is_connected, laplacian
-from .spectral import eig_sym, eigenspaces
+from .spectral import _fix_signs, eig_sym, eigenspaces
 
 __all__ = [
     "Verdict",
-    "GramianResult",
     "input_vector",
     "pbh_verdict",
     "kalman_rank_exact",
@@ -44,8 +42,9 @@ class Verdict:
 
     witness is only present on an uncontrollable PBH verdict: a unit
     eigenvector orthogonal to every input column. rank is only present on
-    exact-oracle verdicts. input_vertex records which single-input
-    attachment the verdict refers to, when the caller supplied one.
+    exact-oracle verdicts, min_eigenvalue only on Gramian ones. input_vertex
+    records which single-input attachment the verdict refers to, when the
+    caller supplied one.
     """
 
     controllable: bool
@@ -53,21 +52,8 @@ class Verdict:
     witness: np.ndarray | None = None
     rank: int | None = None
     witness_value: float | None = None
+    min_eigenvalue: float | None = None
     input_vertex: int | None = None
-
-    def to_json(self) -> str:
-        payload = {
-            "controllable": self.controllable,
-            "method": self.method,
-            "witness": None if self.witness is None else [float(x) for x in self.witness],
-            "rank": self.rank,
-        }
-        return json.dumps(payload, separators=(", ", ": "))
-
-
-class GramianResult(NamedTuple):
-    min_eigenvalue: float
-    controllable: bool
 
 
 def input_vector(n: int, vertices: Iterable[int]) -> np.ndarray:
@@ -131,11 +117,8 @@ def pbh_verdict(L, B, tol: float = 1e-8) -> Verdict:
         u, s, _ = np.linalg.svd(Q.T @ Bf)
         if len(s) == Q.shape[1] and s[-1] > tol:
             continue
-        witness = Q @ u[:, -1]
-        witness = witness / np.linalg.norm(witness)
-        lead = int(np.argmax(np.abs(witness)))
-        if witness[lead] < 0:
-            witness = -witness
+        witness = Q @ u[:, -1:]
+        witness = _fix_signs(witness / np.linalg.norm(witness))[:, 0]
         return Verdict(controllable=False, method="pbh",
                        witness=witness, witness_value=space.value)
     return Verdict(controllable=True, method="pbh")
@@ -211,18 +194,18 @@ def controllable_vertices(g: Graph) -> set[int]:
 # finite-horizon Gramian
 # ---------------------------------------------------------------------------
 
-def gramian_check(L, B, horizon: float = 1.0, steps: int = 200) -> GramianResult:
+def gramian_check(L, B, horizon: float = 1.0, steps: int = 200) -> Verdict:
     """Controllability Gramian W = int_0^T exp(-Lt) B B^T exp(-Lt) dt.
 
     Composite Simpson quadrature writes W as an exact outer product C C^T
     of sampled impulse responses sqrt(w_k) exp(-L t_k) B, and the smallest
     Gramian eigenvalue is recovered as the squared smallest singular value
-    of the factor C (LAPACK SVD, numpy.linalg.svd). C C^T is never formed,
-    so the dynamic range is never squared: directions that are truly
-    unreachable stay at squared roundoff (about 1e-32 of the trace scale)
-    instead of plain roundoff, so the positivity floor 1e-24 * trace(W) / n
-    cleanly separates them from barely controllable pairs whose smallest
-    eigenvalue is genuinely tiny.
+    of the factor C (LAPACK SVD, numpy.linalg.svd); the verdict carries it
+    as min_eigenvalue. C C^T is never formed, so the dynamic range is never
+    squared: directions that are truly unreachable stay at squared roundoff
+    (about 1e-32 of the trace scale) instead of plain roundoff, so the
+    positivity floor 1e-24 * trace(W) / n cleanly separates them from
+    barely controllable pairs whose smallest eigenvalue is genuinely tiny.
 
     steps is rounded up to an even count. A full-rank verdict needs
     (steps + 1) * inputs >= n samples; below that the quadrature Gramian is
@@ -254,9 +237,9 @@ def gramian_check(L, B, horizon: float = 1.0, steps: int = 200) -> GramianResult
     factor *= np.repeat(np.sqrt(weights), m)[None, :]
 
     if factor.shape[1] < n:
-        return GramianResult(min_eigenvalue=0.0, controllable=False)
+        return Verdict(controllable=False, method="gramian", min_eigenvalue=0.0)
     sig = np.linalg.svd(factor, compute_uv=False)
     min_eig = float(sig[-1] ** 2)
     trace = float(np.sum(sig ** 2))
     floor = GRAMIAN_EIG_FLOOR * trace / n
-    return GramianResult(min_eigenvalue=min_eig, controllable=min_eig > floor)
+    return Verdict(controllable=min_eig > floor, method="gramian", min_eigenvalue=min_eig)

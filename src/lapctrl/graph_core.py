@@ -70,16 +70,6 @@ class Graph:
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return ((v, u) if u > v else (u, v)) in self.edges
-
-    def neighbors(self, v: int) -> list[int]:
-        out = [b if a == v else a for a, b in self.edges if v in (a, b)]
-        return sorted(out)
-
-    def degree(self, v: int) -> int:
-        return sum(1 for e in self.edges if v in e)
-
     def degrees(self) -> list[int]:
         """Degree of every vertex, in vertex order."""
         deg = [0] * self.n
@@ -270,7 +260,7 @@ def is_connected(g: Graph) -> bool:
 def graph_to_json(g: Graph) -> str:
     """Canonical one-line JSON: {"n": ..., "edges": [[u, v], ...]} sorted."""
     payload = {"n": g.n, "edges": [[u, v] for u, v in g.sorted_edges()]}
-    return json.dumps(payload, separators=(", ", ": "))
+    return json.dumps(payload)
 
 
 def graph_from_json(text: str) -> Graph:

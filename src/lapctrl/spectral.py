@@ -53,10 +53,6 @@ class Eigenspace:
     value: float
     basis: np.ndarray
 
-    @property
-    def multiplicity(self) -> int:
-        return self.basis.shape[1]
-
 
 def _fix_signs(v: np.ndarray) -> np.ndarray:
     """Flip each column so its largest-magnitude entry (lowest index on ties)

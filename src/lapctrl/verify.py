@@ -40,9 +40,7 @@ def _exact(L, b) -> bool:
 
 def _block1_input(n: int, bits) -> np.ndarray:
     """n-by-1 input carrying bits on the first len(bits) vertices."""
-    b = np.zeros((n, 1), dtype=np.int64)
-    b[:len(bits), 0] = bits
-    return b
+    return input_vector(n, [v for v, bit in enumerate(bits, 1) if bit])
 
 
 def _support(L, targets: list[int]) -> tuple[bool, float, bool]:

@@ -53,6 +53,15 @@ class TestGen:
         assert code == 2
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("argv, message", [
+        (["threshold", "--creation", "UJ", "--k", "9"], "gen threshold takes no --k"),
+        (["path", "--k", "3", "--creation", "JJ"], "gen path takes no --creation"),
+    ], ids=["threshold-k", "path-creation"])
+    def test_gen_stray_option_is_an_error(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "gen", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {message}")
+
     def test_gen_unknown_family_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit):
             main(["gen", "cycle", "--k", "3"])
@@ -131,6 +140,19 @@ class TestCheck:
         payload = json.loads(out)
         assert payload["controllable"] is True and payload["method"] == "gramian"
 
+    @pytest.mark.parametrize("method", ["pbh", "exact"])
+    def test_gramian_options_rejected_for_other_methods(self, capsys, path3_file, method):
+        code, out, err = run_cli(capsys, "check", path3_file, "--input", "1",
+                                 "--method", method, "--horizon", "7", "--steps", "9")
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: check --method {method} takes no --horizon or --steps")
+
+    def test_all_method_passes_gramian_options(self, capsys, path3_file):
+        code, out, err = run_cli(capsys, "check", path3_file, "--input", "1",
+                                 "--method", "all", "--steps", "9")
+        assert code == 2 and out == ""
+        assert err.startswith("error: need at least 16 quadrature steps")
+
     def test_all_methods_agree(self, capsys, path3_file):
         code, out, _ = run_cli(capsys, "check", path3_file, "--input", "2",
                                "--method", "all")
@@ -192,8 +214,8 @@ class TestCompose:
         code, out, _ = run_cli(capsys, "compose", "--structure", str(f),
                                "--cell", str(f), "--s", "2", "--predict", "2")
         assert code == 0
-        payload = json.loads(out)
-        assert payload["input"] == 4 and payload["controllable"] is True
+        assert json.loads(out) == {"input": 4, "controllable": True, "method": "exact",
+                                   "witness": None, "rank": None}
 
     def test_hypothesis_failure_is_an_error(self, capsys, tmp_path, path3_file):
         f = tmp_path / "p2.json"
@@ -217,6 +239,12 @@ class TestChain:
         assert code == 0
         payload = json.loads(out)
         assert payload["n"] == 7 and [1, 6] in payload["edges"]
+
+    def test_tail_attach_without_tail_is_an_error(self, capsys):
+        code, out, err = run_cli(capsys, "chain", "--c", "2", "--k2", "3",
+                                 "--links", "D", "--tail-attach", "2")
+        assert code == 2 and out == ""
+        assert err.startswith("error: chain --tail-attach needs a positive --tail")
 
     def test_wrong_link_count(self, capsys):
         code, _, err = run_cli(capsys, "chain", "--c", "3", "--k2", "2",

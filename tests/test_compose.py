@@ -10,7 +10,6 @@ from lapctrl import (
     OutOfSupport,
     append_path,
     chain_antiregular,
-    cj_contains,
     composite,
     gen_antiregular,
     gen_complete,
@@ -87,19 +86,33 @@ def gen_threshold_like_disconnected():
 # arithmetic-progression classes and path splits
 # ---------------------------------------------------------------------------
 
+def in_class(j, m):
+    """Membership of m in C_j = {j, j+(2j+1), j+2(2j+1), ...}, by definition."""
+    return m >= j and (m - j) % (2 * j + 1) == 0
+
+
 class TestCjClasses:
     def test_membership(self):
-        assert [m for m in range(20) if cj_contains(1, m)] == [1, 4, 7, 10, 13, 16, 19]
-        assert [m for m in range(20) if cj_contains(2, m)] == [2, 7, 12, 17]
-        assert [m for m in range(20) if cj_contains(3, m)] == [3, 10, 17]
+        assert [m for m in range(20) if in_class(1, m)] == [1, 4, 7, 10, 13, 16, 19]
+        assert [m for m in range(20) if in_class(2, m)] == [2, 7, 12, 17]
+        assert [m for m in range(20) if in_class(3, m)] == [3, 10, 17]
 
     def test_every_positive_m_has_a_class(self):
         for m in range(1, 50):
-            assert cj_contains(m, m)
+            assert in_class(m, m)
+
+    def test_path_split_is_no_shared_class(self):
+        # the gcd form of the predicate against the class definition
+        for k11 in range(61):
+            for k12 in range(61):
+                shared = any(in_class(j, k11) and in_class(j, k12)
+                             for j in range(1, min(k11, k12) + 1))
+                assert path_split_controllable(k11, k12) == (not shared), (k11, k12)
 
     def test_errors(self):
-        with pytest.raises(ValueError):
-            cj_contains(0, 3)
+        for sides in ((-1, 3), (3, -1)):
+            with pytest.raises(ValueError):
+                path_split_controllable(*sides)
 
     def test_path_split_examples(self):
         assert path_split_controllable(0, 5)        # end of a path
@@ -168,9 +181,9 @@ class TestChainGraph:
     def test_junction_lands_on_repeated_degree_vertex(self):
         g = chain_antiregular(ChainSpec(c=2, k2=5, links=("D",)))
         # block 2 occupies 6..10; its degree-repeating vertex is 5 + 3 = 8
-        assert g.has_edge(1, 8)
+        assert (1, 8) in g.edges
         g = chain_antiregular(ChainSpec(c=2, k2=5, links=("T",)))
-        assert g.has_edge(5, 8)
+        assert (5, 8) in g.edges
 
     def test_laplacian_is_blocks_plus_rank_one_updates(self):
         spec = ChainSpec(c=3, k2=4, links=("D", "T"))
@@ -188,7 +201,7 @@ class TestChainGraph:
     def test_tail(self):
         g = chain_antiregular(ChainSpec(c=1, k2=5, tail=2))
         assert g.n == 7
-        assert g.has_edge(3, 6) and g.has_edge(6, 7)
+        assert (3, 6) in g.edges and (6, 7) in g.edges
 
 
 class TestAppendPath:
