@@ -18,7 +18,8 @@ from .graph_core import (Graph, gen_antiregular, gen_complete, gen_path,
 from .spectral import ConvergenceError, eig_sym
 from .controllability import (Verdict, gramian_check, input_vector,
                               kalman_rank_exact, pbh_verdict)
-from .compose import ChainSpec, CompositeSpec, chain_antiregular, composite, predict_composite
+from .compose import (ChainSpec, CompositeSpec, append_path, chain_antiregular, composite,
+                      predict_composite)
 from .verify import SUITES
 
 
@@ -86,11 +87,10 @@ def _check_verdict(method: str, L, b, gramian_options: dict) -> Verdict:
 
 
 def _cmd_check(args) -> int:
-    given = {"horizon": args.horizon, "steps": args.steps}
-    options = {name: value for name, value in given.items() if value is not None}
+    options = {} if args.horizon is None else {"horizon": args.horizon}
     if options and args.method not in ("gramian", "all"):
-        raise ValueError(f"check --method {args.method} takes no --horizon or --steps; "
-                         "they apply to the gramian and all methods only")
+        raise ValueError(f"check --method {args.method} takes no --horizon; "
+                         "it applies to the gramian and all methods only")
     g = _load_graph(args.graph)
     L = laplacian(g)
     b = input_vector(g.n, args.input)
@@ -134,9 +134,14 @@ def _cmd_compose(args) -> int:
 def _cmd_chain(args) -> int:
     if args.tail_attach is not None and not args.tail:
         raise ValueError("chain --tail-attach needs a positive --tail")
-    spec = ChainSpec(c=args.c, k2=args.k2, links=tuple(args.links),
-                     tail=args.tail, tail_attach=args.tail_attach)
-    _emit(graph_to_json(chain_antiregular(spec)), args.output)
+    spec = ChainSpec(c=args.c, k2=args.k2, links=tuple(args.links))
+    g = chain_antiregular(spec)
+    if args.tail:
+        attach = spec.kappa if args.tail_attach is None else args.tail_attach
+        if not 1 <= attach <= spec.k2:
+            raise ValueError(f"tail_attach {attach} out of range 1..{spec.k2}")
+        g = append_path(g, attach, args.tail)
+    _emit(graph_to_json(g), args.output)
     return 0
 
 
@@ -193,7 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="pbh")
     p.add_argument("--expect", choices=["controllable", "uncontrollable"])
     p.add_argument("--horizon", type=float, help="Gramian horizon (gramian and all)")
-    p.add_argument("--steps", type=int, help="Gramian quadrature steps (gramian and all)")
     p.add_argument("--output", "-o")
     p.set_defaults(func=_cmd_check)
 
@@ -229,9 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("export", help="re-emit a graph as DOT or normalized JSON")
     p.add_argument("graph", help="graph JSON file, or - for stdin")
-    fmt = p.add_mutually_exclusive_group()
-    fmt.add_argument("--dot", action="store_true", help="emit DOT")
-    fmt.add_argument("--json", action="store_true", help="emit normalized JSON (default)")
+    p.add_argument("--dot", action="store_true", help="emit DOT instead of normalized JSON")
     p.add_argument("--output", "-o")
     p.set_defaults(func=_cmd_export)
 

@@ -9,7 +9,7 @@ test suite cross-checks against the exact Kalman oracle:
   vertex order used throughout,
 * antiregular chains: blocks in antiregular order, each linked from its
   dominating or terminal vertex into the next block's degree-repeating
-  vertex, optionally finished with a dangling path,
+  vertex,
 * path appending: a path attached to any vertex of any graph.
 
 Also here: the path-split predicate that tells where a path may be driven
@@ -127,20 +127,16 @@ def path_split_controllable(k11: int, k12: int) -> bool:
 
 @dataclass(frozen=True)
 class ChainSpec:
-    """c antiregular blocks of order k2, one link choice per junction,
-    plus an optional dangling path (tail) on block 1.
+    """c antiregular blocks of order k2, one link choice per junction.
 
     links[i] says which vertex of block i+1 feeds junction i+1: "D" for the
     dominating vertex, "T" for the terminal one. The junction always lands
-    on the next block's degree-repeating vertex ceil(k2/2). tail_attach
-    defaults to that same vertex of block 1.
+    on the next block's degree-repeating vertex ceil(k2/2).
     """
 
     c: int
     k2: int
     links: tuple[str, ...] = ()
-    tail: int = 0
-    tail_attach: int | None = None
 
     def __post_init__(self) -> None:
         if self.c < 1:
@@ -156,12 +152,6 @@ class ChainSpec:
         object.__setattr__(self, "links", tuple(normalized))
         if len(self.links) != self.c - 1:
             raise ValueError(f"need {self.c - 1} links for {self.c} blocks, got {len(self.links)}")
-        if self.tail < 0:
-            raise ValueError("tail length must be nonnegative")
-        if self.tail_attach is None:
-            object.__setattr__(self, "tail_attach", self.kappa)
-        if not 1 <= self.tail_attach <= self.k2:
-            raise ValueError(f"tail_attach {self.tail_attach} out of range 1..{self.k2}")
 
     @property
     def kappa(self) -> int:
@@ -170,7 +160,7 @@ class ChainSpec:
 
 
 def chain_antiregular(spec: ChainSpec) -> Graph:
-    """Chain of c antiregular blocks, plus the spec's tail when present.
+    """Chain of c antiregular blocks.
 
     Block i occupies indices (i-1)k2+1 .. i*k2 in antiregular vertex order.
     Junction i contributes one edge into block (i+1)'s degree-repeating
@@ -178,7 +168,7 @@ def chain_antiregular(spec: ChainSpec) -> Graph:
     vertex ((i-1)k2 + 1) on a "D" link or its terminal vertex (i*k2) on a
     "T" link. Each junction edge is exactly the rank-one Laplacian update
     z z^T with z the difference of the two endpoint indicators, so the
-    Laplacian of the untailed chain is I (x) L_block + sum_i z_i z_i^T.
+    Laplacian of the chain is I (x) L_block + sum_i z_i z_i^T.
     """
     block = gen_antiregular(spec.k2)
     edges = []
@@ -189,17 +179,13 @@ def chain_antiregular(spec: ChainSpec) -> Graph:
         into = i * spec.k2 + spec.kappa
         out = (i - 1) * spec.k2 + 1 if link == "D" else i * spec.k2
         edges.append((out, into))
-    g = Graph.from_edges(spec.c * spec.k2, edges)
-    if spec.tail:
-        g = append_path(g, spec.tail_attach, spec.tail)
-    return g
+    return Graph.from_edges(spec.c * spec.k2, edges)
 
 
 def valid_chain_input(spec: ChainSpec, b) -> bool:
     """Input predicate for a single binary input into block 1 of a chain.
 
-    Evaluates the untailed chain on c*k2 vertices (the tail fields of the
-    spec are ignored here). The vector must vanish outside block 1; the
+    The vector must vanish outside block 1 of the c*k2-vertex chain; the
     predicate is silent about other inputs, so those raise OutOfSupport.
     When the first junction leaves from the terminal vertex, the predicate
     also restricts block 1's k2-th entry to zero, and a 1 there is likewise
@@ -240,8 +226,7 @@ def valid_chain_input(spec: ChainSpec, b) -> bool:
     if block1[0] and screened:
         ones = int(block1.sum())
         if ones not in antiregular_spectrum(spec.k2):
-            bare = ChainSpec(c=spec.c, k2=spec.k2, links=spec.links)
-            dec = eig_sym(laplacian(chain_antiregular(bare)))
+            dec = eig_sym(laplacian(chain_antiregular(spec)))
             gtol = default_gtol(dec.values)
             if bool(np.any(np.abs(dec.values - ones) <= gtol)):
                 return False

@@ -21,7 +21,7 @@ from typing import Iterable
 import numpy as np
 
 from .graph_core import Graph, is_connected, laplacian
-from .spectral import _fix_signs, eig_sym, eigenspaces
+from .spectral import _check_square, _fix_signs, eig_sym, eigenspaces
 
 __all__ = [
     "Verdict",
@@ -34,6 +34,7 @@ __all__ = [
 ]
 
 GRAMIAN_EIG_FLOOR = 1e-24  # positivity threshold, times trace(W)/n
+_PBH_TOL = 1e-8  # smallest singular value of Q^T B that covers an eigenspace
 
 
 @dataclass(frozen=True)
@@ -84,29 +85,22 @@ def _as_control(b, n: int) -> np.ndarray:
     return as_int
 
 
-def _check_square(L) -> np.ndarray:
-    mat = np.asarray(L)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    return mat
-
-
 # ---------------------------------------------------------------------------
 # PBH eigenspace test
 # ---------------------------------------------------------------------------
 
-def pbh_verdict(L, B, tol: float = 1e-8) -> Verdict:
+def pbh_verdict(L, B) -> Verdict:
     """Eigenvector test: controllable iff no eigenspace of L is orthogonal to
     the column space of B.
 
     L is decomposed once. For each eigenspace with orthonormal basis Q, the
     SVD of the projections C = Q^T B decides it: the space is covered iff C
     has as many singular values as Q has columns and the smallest exceeds
-    tol. C C^T is never formed, so the dynamic range is never squared. A
+    1e-8. C C^T is never formed, so the dynamic range is never squared. A
     single input can never cover an eigenspace of dimension >= 2, since C
     then has one singular value. The returned witness is a unit eigenvector
     w = Q u (u the last left singular vector of C), with ||L w - lambda w||_inf
-    and |w^T b| both below tol.
+    and |w^T b| both below 1e-8.
     """
     Lmat = _check_square(L)
     n = Lmat.shape[0]
@@ -115,7 +109,7 @@ def pbh_verdict(L, B, tol: float = 1e-8) -> Verdict:
     for space in eigenspaces(eig_sym(Lmat)):
         Q = space.basis
         u, s, _ = np.linalg.svd(Q.T @ Bf)
-        if len(s) == Q.shape[1] and s[-1] > tol:
+        if len(s) == Q.shape[1] and s[-1] > _PBH_TOL:
             continue
         witness = Q @ u[:, -1:]
         witness = _fix_signs(witness / np.linalg.norm(witness))[:, 0]
@@ -194,7 +188,7 @@ def controllable_vertices(g: Graph) -> set[int]:
 # finite-horizon Gramian
 # ---------------------------------------------------------------------------
 
-def gramian_check(L, B, horizon: float = 1.0, steps: int = 200) -> Verdict:
+def gramian_check(L, B, horizon: float = 1.0) -> Verdict:
     """Controllability Gramian W = int_0^T exp(-Lt) B B^T exp(-Lt) dt.
 
     Composite Simpson quadrature writes W as an exact outer product C C^T
@@ -207,16 +201,13 @@ def gramian_check(L, B, horizon: float = 1.0, steps: int = 200) -> Verdict:
     positivity floor 1e-24 * trace(W) / n cleanly separates them from
     barely controllable pairs whose smallest eigenvalue is genuinely tiny.
 
-    steps is rounded up to an even count. A full-rank verdict needs
-    (steps + 1) * inputs >= n samples; below that the quadrature Gramian is
-    structurally rank deficient and the pair reports uncontrollable.
+    The quadrature takes 200 steps. A full-rank verdict needs 201 * inputs
+    >= n samples; below that the quadrature Gramian is structurally rank
+    deficient and the pair reports uncontrollable.
     """
     if not 0 < horizon < math.inf:
         raise ValueError("horizon must be a positive finite number")
-    if steps < 16:
-        raise ValueError("need at least 16 quadrature steps")
-    if steps % 2:
-        steps += 1
+    steps = 200  # Simpson intervals over [0, horizon]; must be even
 
     Lmat = _check_square(L)
     n = Lmat.shape[0]

@@ -165,8 +165,8 @@ def gen_complete(k: int) -> Graph:
     return Graph(k, frozenset((i, j) for i in range(1, k + 1) for j in range(i + 1, k + 1)))
 
 
-def random_connected_graph(k: int, rng: random.Random, extra_edge_prob: float = 0.3) -> Graph:
-    """Random connected graph: a random attachment tree plus Bernoulli extras."""
+def random_connected_graph(k: int, rng: random.Random) -> Graph:
+    """Random connected graph: a random attachment tree plus Bernoulli(0.3) extras."""
     if k < 1:
         raise ValueError("graph needs at least one vertex")
     edges = set()
@@ -174,7 +174,7 @@ def random_connected_graph(k: int, rng: random.Random, extra_edge_prob: float = 
         edges.add((rng.randint(1, v - 1), v))
     for u in range(1, k + 1):
         for v in range(u + 1, k + 1):
-            if (u, v) not in edges and rng.random() < extra_edge_prob:
+            if (u, v) not in edges and rng.random() < 0.3:
                 edges.add((u, v))
     return Graph(k, frozenset(edges))
 

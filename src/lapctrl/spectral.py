@@ -65,6 +65,13 @@ def _fix_signs(v: np.ndarray) -> np.ndarray:
     return v
 
 
+def _check_square(m) -> np.ndarray:
+    mat = np.asarray(m)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {mat.shape}")
+    return mat
+
+
 def eig_sym(m, rtol: float = 1e-8) -> EigDecomp:
     """Eigendecomposition of a symmetric matrix by LAPACK (numpy.linalg.eigh).
 
@@ -73,9 +80,7 @@ def eig_sym(m, rtol: float = 1e-8) -> EigDecomp:
     ties) is positive. A LAPACK failure raises ConvergenceError, as does a
     residual above rtol * the max row sum of |m|.
     """
-    raw = np.asarray(m)
-    if raw.ndim != 2 or raw.shape[0] != raw.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {raw.shape}")
+    raw = _check_square(m)
     if not (raw == raw.T).all():
         raise ValueError("matrix is not symmetric")
     if not 0 < rtol < math.inf:
@@ -101,15 +106,14 @@ def default_gtol(values: np.ndarray) -> float:
     return 1e-7 * max(1.0, peak)
 
 
-def eigenspaces(dec: EigDecomp, gtol: float | None = None) -> list[Eigenspace]:
+def eigenspaces(dec: EigDecomp) -> list[Eigenspace]:
     """Cluster a decomposition into eigenspaces by adjacent-gap grouping.
 
-    Values whose consecutive gaps are <= gtol share a cluster; each cluster's
-    basis is its slice of the modal matrix, whose columns LAPACK already
-    returns orthonormal, so no re-orthonormalization is done.
+    Values whose consecutive gaps are <= default_gtol share a cluster; each
+    cluster's basis is its slice of the modal matrix, whose columns LAPACK
+    already returns orthonormal, so no re-orthonormalization is done.
     """
-    if gtol is None:
-        gtol = default_gtol(dec.values)
+    gtol = default_gtol(dec.values)
     spaces: list[Eigenspace] = []
     k = len(dec.values)
     lo = 0

@@ -232,7 +232,7 @@ def verify_figure1() -> list[dict]:
     for links in itertools.product("DT", repeat=4):
         bare_spec = ChainSpec(c=5, k2=5, links=links)
         bare = chain_antiregular(bare_spec)
-        tailed = chain_antiregular(ChainSpec(c=5, k2=5, links=links, tail=4))
+        tailed = append_path(bare, bare_spec.kappa, 4)
         L_bare, L_tail = laplacian(bare), laplacian(tailed)
         winners = []
         for label, pattern in _FIG1C_INPUTS:

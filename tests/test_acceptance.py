@@ -13,8 +13,11 @@ import numpy as np
 import pytest
 
 from lapctrl import (
+    ChainSpec,
+    OutOfSupport,
     antiregular_modal,
     antiregular_spectrum,
+    chain_antiregular,
     conjugate,
     degree_sequence,
     eig_sym,
@@ -28,6 +31,7 @@ from lapctrl import (
     pbh_verdict,
     random_connected_graph,
     trace_of,
+    valid_chain_input,
 )
 from lapctrl.verify import (
     DEFAULT_SEED,
@@ -247,4 +251,54 @@ def test_chain_eigenvector_support_known_exceptions():
         "lemma6 c=4 k2=2 links=DTD",
         "lemma6 c=4 k2=2 links=TDT",
         "lemma6 c=4 k2=2 links=TTD",
+    ]
+
+
+def test_chain_input_predicate_known_exceptions():
+    """Past the sixth criterion's range: k2 = 2 chains of c = 4..6 blocks,
+    every link word and every covered block-1 input. The predicate says
+    controllable on exactly these cases while the exact rank falls short
+    (n-1, except n-2 for c=6 DDTDT b=01 and TDTDT b=10), and it is right on
+    all others, so a change to either side of the set is caught."""
+    cases, mismatches = 0, []
+    for c in (4, 5, 6):
+        for links in itertools.product("DT", repeat=c - 1):
+            spec = ChainSpec(c=c, k2=2, links=links)
+            g = chain_antiregular(spec)
+            L = laplacian(g)
+            for bits in ((0, 1), (1, 0), (1, 1)):
+                b = input_vector(g.n, [v for v, bit in enumerate(bits, 1) if bit])
+                try:
+                    predicted = valid_chain_input(spec, b)
+                except OutOfSupport:
+                    continue
+                cases += 1
+                if predicted != (kalman_rank_exact(L, b) == g.n):
+                    name = f"chain c={c} k2=2 links={''.join(links)} b={''.join(map(str, bits))}"
+                    mismatches.append((name, predicted))
+    assert cases == 112
+    assert all(predicted for _, predicted in mismatches)
+    assert sorted(name for name, _ in mismatches) == [
+        "chain c=4 k2=2 links=DDT b=01",
+        "chain c=4 k2=2 links=TDT b=10",
+        "chain c=5 k2=2 links=DDDT b=01",
+        "chain c=5 k2=2 links=DDTD b=01",
+        "chain c=5 k2=2 links=DTDT b=01",
+        "chain c=5 k2=2 links=TDDT b=10",
+        "chain c=5 k2=2 links=TDTD b=10",
+        "chain c=5 k2=2 links=TTDT b=10",
+        "chain c=6 k2=2 links=DDDDT b=01",
+        "chain c=6 k2=2 links=DDDTD b=01",
+        "chain c=6 k2=2 links=DDTDD b=01",
+        "chain c=6 k2=2 links=DDTDT b=01",
+        "chain c=6 k2=2 links=DTDDT b=01",
+        "chain c=6 k2=2 links=DTDTD b=01",
+        "chain c=6 k2=2 links=DTTDT b=01",
+        "chain c=6 k2=2 links=TDDDT b=10",
+        "chain c=6 k2=2 links=TDDTD b=10",
+        "chain c=6 k2=2 links=TDTDD b=10",
+        "chain c=6 k2=2 links=TDTDT b=10",
+        "chain c=6 k2=2 links=TTDDT b=10",
+        "chain c=6 k2=2 links=TTDTD b=10",
+        "chain c=6 k2=2 links=TTTDT b=10",
     ]

@@ -143,15 +143,20 @@ class TestCheck:
     @pytest.mark.parametrize("method", ["pbh", "exact"])
     def test_gramian_options_rejected_for_other_methods(self, capsys, path3_file, method):
         code, out, err = run_cli(capsys, "check", path3_file, "--input", "1",
-                                 "--method", method, "--horizon", "7", "--steps", "9")
+                                 "--method", method, "--horizon", "7")
         assert code == 2 and out == ""
-        assert err.startswith(f"error: check --method {method} takes no --horizon or --steps")
+        assert err.startswith(f"error: check --method {method} takes no --horizon")
 
     def test_all_method_passes_gramian_options(self, capsys, path3_file):
         code, out, err = run_cli(capsys, "check", path3_file, "--input", "1",
-                                 "--method", "all", "--steps", "9")
+                                 "--method", "all", "--horizon", "nan")
         assert code == 2 and out == ""
-        assert err.startswith("error: need at least 16 quadrature steps")
+        assert err.startswith("error: horizon must be a positive finite number")
+
+    def test_steps_is_a_usage_error(self, path3_file):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", path3_file, "--input", "1", "--method", "gramian", "--steps", "9"])
+        assert exc.value.code == 2
 
     def test_all_methods_agree(self, capsys, path3_file):
         code, out, _ = run_cli(capsys, "check", path3_file, "--input", "2",
@@ -240,6 +245,22 @@ class TestChain:
         payload = json.loads(out)
         assert payload["n"] == 7 and [1, 6] in payload["edges"]
 
+    def test_tail_attaches_at_degree_repeating_vertex_by_default(self, capsys):
+        code, out, _ = run_cli(capsys, "chain", "--c", "1", "--k2", "5", "--tail", "2")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["n"] == 7 and [3, 6] in payload["edges"]
+
+    def test_tail_attach_outside_block_one_is_an_error(self, capsys):
+        code, out, err = run_cli(capsys, "chain", "--c", "2", "--k2", "3", "--links", "D",
+                                 "--tail", "1", "--tail-attach", "4")
+        assert code == 2 and out == ""
+        assert err.startswith("error: tail_attach 4 out of range 1..3")
+
+    def test_negative_tail_is_an_error(self, capsys):
+        code, out, err = run_cli(capsys, "chain", "--c", "1", "--k2", "5", "--tail", "-1")
+        assert code == 2 and out == "" and err.startswith("error:")
+
     def test_tail_attach_without_tail_is_an_error(self, capsys):
         code, out, err = run_cli(capsys, "chain", "--c", "2", "--k2", "3",
                                  "--links", "D", "--tail-attach", "2")
@@ -327,6 +348,13 @@ class TestExport:
         f.write_text(graph_to_json(gen_path(2)))
         with pytest.raises(SystemExit):
             main(["export", str(f), "--dot", "--json"])
+
+    def test_json_option_rejected(self, tmp_path):
+        f = tmp_path / "p2.json"
+        f.write_text(graph_to_json(gen_path(2)))
+        with pytest.raises(SystemExit) as exc:
+            main(["export", str(f), "--json"])
+        assert exc.value.code == 2
 
 
 # ---------------------------------------------------------------------------

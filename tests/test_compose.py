@@ -144,9 +144,6 @@ class TestChainSpec:
         assert ChainSpec(c=1, k2=4).kappa == 2
         assert ChainSpec(c=1, k2=5).kappa == 3
 
-    def test_tail_attach_defaults_to_kappa(self):
-        assert ChainSpec(c=1, k2=5, tail=2).tail_attach == 3
-
     def test_validation(self):
         with pytest.raises(ValueError):
             ChainSpec(c=0, k2=3)
@@ -156,10 +153,6 @@ class TestChainSpec:
             ChainSpec(c=2, k2=3, links=())           # wrong link count
         with pytest.raises(ValueError):
             ChainSpec(c=2, k2=3, links=("X",))
-        with pytest.raises(ValueError):
-            ChainSpec(c=1, k2=3, tail=-1)
-        with pytest.raises(ValueError):
-            ChainSpec(c=1, k2=3, tail=1, tail_attach=4)
 
 
 class TestChainGraph:
@@ -199,7 +192,9 @@ class TestChainGraph:
         assert np.array_equal(L, expected)
 
     def test_tail(self):
-        g = chain_antiregular(ChainSpec(c=1, k2=5, tail=2))
+        # a tail is a path appended at block 1's degree-repeating vertex
+        spec = ChainSpec(c=1, k2=5)
+        g = append_path(chain_antiregular(spec), spec.kappa, 2)
         assert g.n == 7
         assert (3, 6) in g.edges and (6, 7) in g.edges
 

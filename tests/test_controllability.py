@@ -8,8 +8,10 @@ import pytest
 
 from lapctrl import (
     GRAMIAN_EIG_FLOOR,
+    ChainSpec,
     Graph,
     Verdict,
+    chain_antiregular,
     controllable_vertices,
     eig_sym,
     gen_complete,
@@ -151,6 +153,21 @@ class TestPBH:
         with pytest.raises(ValueError):
             pbh_verdict(np.zeros((2, 3)), np.ones(2))  # non-square matrix
 
+    def test_known_false_negatives_on_six_block_chains(self):
+        # Known-false pin: these chains of six AR6 blocks are controllable at
+        # vertices 3 and 4 (exact rank 36/36), but PBH says uncontrollable.
+        # In DDDTT the input vertex's entry of one eigenvector is 1.0e-9 of
+        # the column's peak, below the 1e-8 cover threshold. In DTTTT two
+        # eigenvalues near 1.0 lie 6.1e-7 apart, under default_gtol = 7.2e-7,
+        # and merge into one 2-dimensional eigenspace that a single input
+        # cannot cover. A PBH that answers "indeterminate" near its
+        # thresholds (ROADMAP C) should flip this pin.
+        for links in ("DDDTT", "DTTTT"):
+            L = laplacian(chain_antiregular(ChainSpec(c=6, k2=6, links=tuple(links))))
+            for v in (3, 4):
+                assert kalman_rank_exact(L, _ev(36, v)) == 36
+                assert not pbh_verdict(L, _ev(36, v)).controllable, (links, v)
+
 
 # ---------------------------------------------------------------------------
 # exact Kalman rank
@@ -271,16 +288,10 @@ class TestGramian:
         for horizon in (math.nan, math.inf):
             with pytest.raises(ValueError, match="positive finite"):
                 gramian_check(L, _ev(2, 1), horizon=horizon)
-        with pytest.raises(ValueError):
-            gramian_check(L, _ev(2, 1), steps=8)
-
-    def test_odd_step_count_accepted(self):
-        res = gramian_check(laplacian(gen_path(2)), _ev(2, 1), steps=17)
-        assert res.controllable
 
     def test_too_few_samples_reports_rank_deficient(self):
-        # 17 quadrature nodes cannot span 20 dimensions
-        res = gramian_check(laplacian(gen_path(20)), _ev(20, 1), steps=16)
+        # 201 quadrature nodes cannot span 202 dimensions
+        res = gramian_check(laplacian(gen_path(202)), _ev(202, 1))
         assert (res.controllable, res.min_eigenvalue) == (False, 0.0)
         assert res.method == "gramian"
 

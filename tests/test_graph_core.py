@@ -1,5 +1,6 @@
 """Graph construction, degree-sequence algebra, serialization, and the public surface."""
 
+import dataclasses
 import inspect
 import itertools
 import json
@@ -280,3 +281,13 @@ def test_package_all_is_the_modules_all():
     exposed = {name for name, value in vars(lapctrl).items()
                if not name.startswith("_") and not inspect.ismodule(value)}
     assert exposed == set(expected) - {"__version__"}
+
+
+def test_settable_values_are_the_ones_callers_use():
+    from lapctrl import ChainSpec, eigenspaces, gramian_check, pbh_verdict
+
+    assert [f.name for f in dataclasses.fields(ChainSpec)] == ["c", "k2", "links"]
+    params = {fn.__name__: list(inspect.signature(fn).parameters)
+              for fn in (pbh_verdict, gramian_check, eigenspaces, random_connected_graph)}
+    assert params == {"pbh_verdict": ["L", "B"], "gramian_check": ["L", "B", "horizon"],
+                      "eigenspaces": ["dec"], "random_connected_graph": ["k", "rng"]}

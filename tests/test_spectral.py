@@ -138,11 +138,6 @@ class TestEigenspaces:
                 Q = space.basis
                 assert np.allclose(Q.T @ Q, np.eye(Q.shape[1]), rtol=0, atol=1e-12)
 
-    def test_explicit_gtol_merges_clusters(self):
-        dec = eig_sym(np.diag([0.0, 1.0, 1.4]))
-        assert len(eigenspaces(dec, gtol=0.5)) == 2
-        assert len(eigenspaces(dec, gtol=0.1)) == 3
-
 
 # ---------------------------------------------------------------------------
 # closed-form antiregular spectrum and integer modal table
