@@ -59,7 +59,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     g = _load_graph(args.graph)
-    dec = eig_sym(laplacian(g), rtol=args.rtol)
+    dec = eig_sym(laplacian(g))
     payload = {
         "values": [float(x) for x in dec.values],
         "modal": [[float(x) for x in dec.modal[:, j]] for j in range(g.n)],
@@ -76,33 +76,29 @@ def _verdict_payload(verdict: Verdict) -> dict:
             "rank": verdict.rank}
 
 
-def _check_verdict(method: str, L, b, gramian_options: dict) -> Verdict:
+def _check_verdict(method: str, L, b) -> Verdict:
     """Decide controllability of (L, b) by one method of ``check``."""
     if method == "exact":
         rank = kalman_rank_exact(L, b)
         return Verdict(controllable=rank == len(L), method="exact", rank=rank)
     if method == "gramian":
-        return gramian_check(L, b, **gramian_options)
+        return gramian_check(L, b)
     return pbh_verdict(L, b)
 
 
 def _cmd_check(args) -> int:
-    options = {} if args.horizon is None else {"horizon": args.horizon}
-    if options and args.method not in ("gramian", "all"):
-        raise ValueError(f"check --method {args.method} takes no --horizon; "
-                         "it applies to the gramian and all methods only")
     g = _load_graph(args.graph)
     L = laplacian(g)
     b = input_vector(g.n, args.input)
     agree = True
     if args.method == "all":
-        verdicts = {m: _check_verdict(m, L, b, options) for m in ("exact", "pbh", "gramian")}
+        verdicts = {m: _check_verdict(m, L, b) for m in ("exact", "pbh", "gramian")}
         agree = len({v.controllable for v in verdicts.values()}) == 1
         payload = {"agree": agree,
                    **{m: _verdict_payload(v) for m, v in verdicts.items()}}
         decision = verdicts["exact"].controllable
     else:
-        verdict = _check_verdict(args.method, L, b, options)
+        verdict = _check_verdict(args.method, L, b)
         payload = _verdict_payload(verdict)
         decision = verdict.controllable
     _emit(json.dumps(payload), args.output)
@@ -186,7 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="eigenvalues and eigenvectors of the Laplacian")
     p.add_argument("graph", help="graph JSON file, or - for stdin")
-    p.add_argument("--rtol", type=float, default=1e-8)
     p.add_argument("--output", "-o")
     p.set_defaults(func=_cmd_spectrum)
 
@@ -197,7 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["exact", "pbh", "gramian", "all"],
                    default="pbh")
     p.add_argument("--expect", choices=["controllable", "uncontrollable"])
-    p.add_argument("--horizon", type=float, help="Gramian horizon (gramian and all)")
     p.add_argument("--output", "-o")
     p.set_defaults(func=_cmd_check)
 

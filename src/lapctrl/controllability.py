@@ -1,15 +1,16 @@
 """Single-input Laplacian controllability decided three independent ways.
 
 The exact Kalman oracle is the ground truth: fraction-free integer
-elimination over the Krylov space of (L, B), immune to floating-point rank
+elimination over the Krylov space of (L, b), immune to floating-point rank
 decisions. The PBH eigenspace test produces certificates (a witness
-eigenvector orthogonal to the inputs whenever it says "uncontrollable"),
-and the finite-horizon Gramian gives a numeric energy reading. The test
+eigenvector orthogonal to the input whenever it says "uncontrollable"),
+and the Gramian over [0, 1] gives a numeric energy reading. The test
 suite holds all three to agreement.
 
 Controllability here always means controllability of the consensus pair
-(-L, B) for dx/dt = -L x + B u, which by the eigenvector criterion is the
-same as for (L, B).
+(-L, b) for dx/dt = -L x + b u, which by the eigenvector criterion is the
+same as for (L, b). Every decider takes the one input b as a flat length-n
+vector or an n-by-1 column; any other shape is a ValueError.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ __all__ = [
 ]
 
 GRAMIAN_EIG_FLOOR = 1e-24  # positivity threshold, times trace(W)/n
-_PBH_TOL = 1e-8  # smallest singular value of Q^T B that covers an eigenspace
+_PBH_TOL = 1e-8  # smallest singular value of Q^T b that covers an eigenspace
 
 
 @dataclass(frozen=True)
@@ -42,7 +43,7 @@ class Verdict:
     """Controllability decision with its method tag.
 
     witness is only present on an uncontrollable PBH verdict: a unit
-    eigenvector orthogonal to every input column. rank is only present on
+    eigenvector orthogonal to the input. rank is only present on
     exact-oracle verdicts, min_eigenvalue only on Gramian ones. input_vertex
     records which single-input attachment the verdict refers to, when the
     caller supplied one.
@@ -58,7 +59,7 @@ class Verdict:
 
 
 def input_vector(n: int, vertices: Iterable[int]) -> np.ndarray:
-    """Binary n-by-1 control matrix for one input wired to the given vertices."""
+    """Binary n-by-1 input column for one input wired to the given vertices."""
     b = np.zeros((n, 1), dtype=np.int64)
     hit = False
     for v in vertices:
@@ -72,16 +73,17 @@ def input_vector(n: int, vertices: Iterable[int]) -> np.ndarray:
 
 
 def _as_control(b, n: int) -> np.ndarray:
+    """The one input as a binary n-by-1 int64 column; b is flat or n-by-1."""
     mat = np.asarray(b)
-    if mat.ndim == 1:
-        mat = mat.reshape(-1, 1)
-    if mat.ndim != 2 or mat.shape[0] != n:
-        raise ValueError(f"control matrix must have {n} rows, got shape {mat.shape}")
+    if mat.shape not in ((n,), (n, 1)):
+        raise ValueError(f"input must be a length-{n} vector or an {n}x1 column, "
+                         f"got shape {mat.shape}")
+    mat = mat.reshape(n, 1)
     as_int = mat.astype(np.int64)
     if not (np.asarray(mat, dtype=float) == as_int).all() or not np.isin(as_int, (0, 1)).all():
-        raise ValueError("control matrix entries must be 0 or 1")
+        raise ValueError("input entries must be 0 or 1")
     if not as_int.any():
-        raise ValueError("control matrix must have at least one nonzero entry")
+        raise ValueError("input must have at least one nonzero entry")
     return as_int
 
 
@@ -90,25 +92,24 @@ def _as_control(b, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def pbh_verdict(L, B) -> Verdict:
-    """Eigenvector test: controllable iff no eigenspace of L is orthogonal to
-    the column space of B.
+    """Eigenvector test: controllable iff no eigenvector of L is orthogonal
+    to the input b.
 
     L is decomposed once. For each eigenspace with orthonormal basis Q, the
-    SVD of the projections C = Q^T B decides it: the space is covered iff C
+    SVD of the projection C = Q^T b decides it: the space is covered iff C
     has as many singular values as Q has columns and the smallest exceeds
-    1e-8. C C^T is never formed, so the dynamic range is never squared. A
-    single input can never cover an eigenspace of dimension >= 2, since C
-    then has one singular value. The returned witness is a unit eigenvector
-    w = Q u (u the last left singular vector of C), with ||L w - lambda w||_inf
-    and |w^T b| both below 1e-8.
+    1e-8. One input can never cover an eigenspace of dimension >= 2, since
+    C then has one singular value. The returned witness is a unit
+    eigenvector w = Q u (u the last left singular vector of C), with
+    ||L w - lambda w||_inf and |w^T b| both below 1e-8.
     """
     Lmat = _check_square(L)
     n = Lmat.shape[0]
-    Bf = _as_control(B, n).astype(float)
+    bf = _as_control(B, n).astype(float)
 
     for space in eigenspaces(eig_sym(Lmat)):
         Q = space.basis
-        u, s, _ = np.linalg.svd(Q.T @ Bf)
+        u, s, _ = np.linalg.svd(Q.T @ bf)
         if len(s) == Q.shape[1] and s[-1] > _PBH_TOL:
             continue
         witness = Q @ u[:, -1:]
@@ -123,55 +124,39 @@ def pbh_verdict(L, B) -> Verdict:
 # ---------------------------------------------------------------------------
 
 def kalman_rank_exact(L, B) -> int:
-    """Rank of the Kalman matrix [B, LB, ..., L^{n-1}B] over the rationals.
+    """Rank of the Kalman matrix [b, Lb, ..., L^{n-1}b] over the rationals.
 
-    All arithmetic is exact. Candidate columns are reduced against stored
-    pivot vectors by integer cross-multiplication, then normalized by their
-    gcd to keep the entries small; the Krylov generation is incremental and
-    stops as soon as one full round adds no new direction, because the span
-    is then L-invariant and higher powers cannot enlarge it.
+    All arithmetic is exact. Each Krylov vector is reduced against the
+    stored pivot vectors by integer cross-multiplication, then normalized by
+    its gcd to keep the entries small, and the next vector is L times it.
+    The chain stops as soon as a vector reduces to zero, because the span is
+    then L-invariant and higher powers cannot enlarge it.
     """
     Lmat = _check_square(L)
     n = Lmat.shape[0]
     as_int = Lmat.astype(np.int64)
     if not (np.asarray(Lmat, dtype=float) == as_int).all():
         raise ValueError("exact rank needs an integer matrix")
-    Bmat = _as_control(B, n)
 
     rows = [[int(x) for x in row] for row in as_int]
     pivots: list[tuple[int, list[int]]] = []
-
-    def reduce_against_pivots(vec: list[int]) -> list[int] | None:
-        v = vec
+    v = [int(x) for x in _as_control(B, n)[:, 0]]
+    while True:
         for pos, pivot in pivots:
             if v[pos]:
-                a, b = pivot[pos], v[pos]
-                v = [a * x - b * y for x, y in zip(v, pivot)]
+                a, c = pivot[pos], v[pos]
+                v = [a * x - c * y for x, y in zip(v, pivot)]
         if not any(v):
-            return None
-        g = 0
-        for x in v:
-            g = math.gcd(g, x)
+            break
+        g = math.gcd(*v)
         v = [x // g for x in v]
         pos = next(i for i, x in enumerate(v) if x)
         if v[pos] < 0:
             v = [-x for x in v]
         pivots.append((pos, v))
-        return v
-
-    frontier: list[list[int]] = []
-    for col in range(Bmat.shape[1]):
-        reduced = reduce_against_pivots([int(x) for x in Bmat[:, col]])
-        if reduced is not None:
-            frontier.append(reduced)
-    while frontier and len(pivots) < n:
-        next_frontier = []
-        for vec in frontier:
-            image = [sum(r * x for r, x in zip(row, vec)) for row in rows]
-            reduced = reduce_against_pivots(image)
-            if reduced is not None:
-                next_frontier.append(reduced)
-        frontier = next_frontier
+        if len(pivots) == n:
+            break
+        v = [sum(r * x for r, x in zip(row, v)) for row in rows]
     return len(pivots)
 
 
@@ -188,11 +173,11 @@ def controllable_vertices(g: Graph) -> set[int]:
 # finite-horizon Gramian
 # ---------------------------------------------------------------------------
 
-def gramian_check(L, B, horizon: float = 1.0) -> Verdict:
-    """Controllability Gramian W = int_0^T exp(-Lt) B B^T exp(-Lt) dt.
+def gramian_check(L, B) -> Verdict:
+    """Controllability Gramian W = int_0^1 exp(-Lt) b b^T exp(-Lt) dt.
 
     Composite Simpson quadrature writes W as an exact outer product C C^T
-    of sampled impulse responses sqrt(w_k) exp(-L t_k) B, and the smallest
+    of sampled impulse responses sqrt(w_k) exp(-L t_k) b, and the smallest
     Gramian eigenvalue is recovered as the squared smallest singular value
     of the factor C (LAPACK SVD, numpy.linalg.svd); the verdict carries it
     as min_eigenvalue. C C^T is never formed, so the dynamic range is never
@@ -201,33 +186,28 @@ def gramian_check(L, B, horizon: float = 1.0) -> Verdict:
     positivity floor 1e-24 * trace(W) / n cleanly separates them from
     barely controllable pairs whose smallest eigenvalue is genuinely tiny.
 
-    The quadrature takes 200 steps. A full-rank verdict needs 201 * inputs
-    >= n samples; below that the quadrature Gramian is structurally rank
-    deficient and the pair reports uncontrollable.
+    The horizon is 1 and the quadrature takes 200 steps. A full-rank verdict
+    needs 201 >= n samples; above that order the quadrature Gramian is
+    structurally rank deficient and the pair reports uncontrollable.
     """
-    if not 0 < horizon < math.inf:
-        raise ValueError("horizon must be a positive finite number")
-    steps = 200  # Simpson intervals over [0, horizon]; must be even
+    steps = 200  # Simpson intervals over [0, 1]; must be even
 
     Lmat = _check_square(L)
     n = Lmat.shape[0]
-    Bf = _as_control(B, n).astype(float)
-    m = Bf.shape[1]
+    bf = _as_control(B, n).astype(float)
 
     dec = eig_sym(Lmat)
-    proj = dec.modal.T @ Bf  # input columns in the eigenbasis
-    ts = np.linspace(0.0, horizon, steps + 1)
+    proj = dec.modal.T @ bf  # the input in the eigenbasis, n x 1
+    ts = np.linspace(0.0, 1.0, steps + 1)
     weights = np.full(steps + 1, 2.0)
     weights[1::2] = 4.0
     weights[0] = weights[-1] = 1.0
-    weights *= horizon / steps / 3.0
+    weights *= 1.0 / steps / 3.0
 
-    decay = np.exp(-np.outer(dec.values, ts))  # n x (steps+1)
-    factor = decay[:, :, None] * proj[:, None, :]
-    factor = factor.reshape(n, (steps + 1) * m)
-    factor *= np.repeat(np.sqrt(weights), m)[None, :]
+    factor = np.exp(-np.outer(dec.values, ts)) * proj  # n x (steps+1)
+    factor *= np.sqrt(weights)
 
-    if factor.shape[1] < n:
+    if n > steps + 1:
         return Verdict(controllable=False, method="gramian", min_eigenvalue=0.0)
     sig = np.linalg.svd(factor, compute_uv=False)
     min_eig = float(sig[-1] ** 2)

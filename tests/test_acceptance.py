@@ -158,21 +158,29 @@ def test_c08_figure_reproduction():
 
 
 def _realizable_multisets(k: int) -> set:
-    """Degree multisets of every simple graph on k labeled vertices."""
+    """Degree multisets of every simple graph on k labeled vertices.
+
+    Each ascending-sorted degree vector is keyed as one base-k integer
+    (degrees are at most k-1), so np.unique sorts int64 keys, not rows.
+    Peeling a key's base-k digits from the least significant end gives the
+    multiset back in descending order.
+    """
     pairs = list(itertools.combinations(range(k), 2))
     m = len(pairs)
     inc = np.zeros((m, k), dtype=np.int16)
     for idx, (u, v) in enumerate(pairs):
         inc[idx, u] = inc[idx, v] = 1
     shifts = np.arange(m, dtype=np.int64)
-    out = set()
+    place = k ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    keys = set()
     chunk = 1 << 16
     for start in range(0, 1 << m, chunk):
         codes = np.arange(start, min(start + chunk, 1 << m), dtype=np.int64)
         bits = ((codes[:, None] >> shifts) & 1).astype(np.int16)
-        degs = np.sort(bits @ inc, axis=1)[:, ::-1]
-        out.update(map(tuple, np.unique(degs, axis=0)))
-    return out
+        degs = np.sort(bits @ inc, axis=1)
+        keys.update(np.unique(degs @ place).tolist())
+    keys = np.array(sorted(keys), dtype=np.int64)
+    return set(map(tuple, (keys[:, None] // place[::-1] % k).tolist()))
 
 
 def test_c09_majorization_and_graphicality():
