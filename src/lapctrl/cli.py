@@ -40,20 +40,7 @@ def _load_graph(path: str) -> Graph:
 
 
 def _cmd_gen(args) -> int:
-    if args.family == "threshold":
-        if not args.creation:
-            raise ValueError("gen threshold needs --creation (a word over J/U)")
-        if args.k is not None:
-            raise ValueError("gen threshold takes no --k; --creation sets its order")
-        g = gen_threshold(args.creation)
-    else:
-        if args.k is None:
-            raise ValueError(f"gen {args.family} needs --k")
-        if args.creation:
-            raise ValueError(f"gen {args.family} takes no --creation; it is for threshold")
-        g = {"path": gen_path, "antiregular": gen_antiregular,
-             "complete": gen_complete}[args.family](args.k)
-    _emit(graph_to_json(g), args.output)
+    _emit(graph_to_json(args.make(args.value)), args.output)
     return 0
 
 
@@ -128,26 +115,17 @@ def _cmd_compose(args) -> int:
 
 
 def _cmd_chain(args) -> int:
-    if args.tail_attach is not None and not args.tail:
-        raise ValueError("chain --tail-attach needs a positive --tail")
     spec = ChainSpec(c=args.c, k2=args.k2, links=tuple(args.links))
-    g = chain_antiregular(spec)
-    if args.tail:
-        attach = spec.kappa if args.tail_attach is None else args.tail_attach
-        if not 1 <= attach <= spec.k2:
-            raise ValueError(f"tail_attach {attach} out of range 1..{spec.k2}")
-        g = append_path(g, attach, args.tail)
-    _emit(graph_to_json(g), args.output)
+    _emit(graph_to_json(append_path(chain_antiregular(spec), spec.kappa, args.tail)),
+          args.output)
     return 0
 
 
 def _cmd_verify(args) -> int:
-    given = {"count": args.random, "maxk": args.maxk, "seed": args.seed}
-    options = {name: value for name, value in given.items() if value is not None}
-    if options and args.suite != "majorization":
-        raise ValueError(f"verify {args.suite} takes no --random, --maxk or --seed; "
-                         "they apply to the majorization suite only")
-    cases = SUITES[args.suite](**options)
+    if args.seed is not None and args.suite != "majorization":
+        raise ValueError(f"verify {args.suite} takes no --seed; "
+                         "it applies to the majorization suite only")
+    cases = SUITES[args.suite](**({} if args.seed is None else {"seed": args.seed}))
     failures = 0
     for case in cases:
         print(json.dumps(case))
@@ -174,11 +152,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("gen", help="generate a graph family member")
-    p.add_argument("family", choices=["path", "antiregular", "threshold", "complete"])
-    p.add_argument("--k", type=int, help="vertex count")
-    p.add_argument("--creation", help="threshold creation word over J/U, e.g. UJUJ")
-    p.add_argument("--output", "-o")
-    p.set_defaults(func=_cmd_gen)
+    families = p.add_subparsers(dest="family", required=True)
+    for family, make, option, kind, text in (
+            ("path", gen_path, "--k", int, "vertex count"),
+            ("antiregular", gen_antiregular, "--k", int, "vertex count"),
+            ("threshold", gen_threshold, "--creation", str, "creation word over J/U, e.g. UJUJ"),
+            ("complete", gen_complete, "--k", int, "vertex count")):
+        p = families.add_parser(family, help=f"the {family} family")
+        p.add_argument(option, dest="value", metavar=option[2:].upper(), type=kind,
+                       required=True, help=text)
+        p.add_argument("--output", "-o")
+        p.set_defaults(func=_cmd_gen, make=make)
 
     p = sub.add_parser("spectrum", help="eigenvalues and eigenvectors of the Laplacian")
     p.add_argument("graph", help="graph JSON file, or - for stdin")
@@ -209,19 +193,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=int, required=True, help="block count")
     p.add_argument("--k2", type=int, required=True, help="block order")
     p.add_argument("--links", default="", help="junction word over D/T, length c-1")
-    p.add_argument("--tail", type=int, default=0, help="appended path length")
-    p.add_argument("--tail-attach", type=int, default=None,
-                   help="block-1 vertex for the tail (default: the "
-                        "degree-repeating vertex)")
+    p.add_argument("--tail", type=int, default=0,
+                   help="length of a path appended at block 1's degree-repeating vertex")
     p.add_argument("--output", "-o")
     p.set_defaults(func=_cmd_chain)
 
     p = sub.add_parser("verify", help="run a theorem-versus-oracle sweep")
     p.add_argument("suite", choices=list(SUITES))
-    p.add_argument("--random", type=int,
-                   help="case count for the majorization suite")
-    p.add_argument("--maxk", type=int,
-                   help="largest graph order for the majorization suite")
     p.add_argument("--seed", type=int, help="random seed for the majorization suite")
     p.set_defaults(func=_cmd_verify)
 

@@ -186,7 +186,7 @@ def _realizable_multisets(k: int) -> set:
 def test_c09_majorization_and_graphicality():
     problems = []
 
-    cases = verify_majorization(count=100, maxk=10, seed=DEFAULT_SEED)
+    cases = verify_majorization(seed=DEFAULT_SEED)
     fails = _failures(cases)
     if fails or len(cases) != 100:
         problems.append(f"majorization sweep: {len(fails)} failures")

@@ -285,11 +285,13 @@ def test_package_all_is_the_modules_all():
 
 def test_settable_values_are_the_ones_callers_use():
     from lapctrl import ChainSpec, eig_sym, eigenspaces, gramian_check, pbh_verdict
+    from lapctrl.verify import verify_majorization
 
     assert [f.name for f in dataclasses.fields(ChainSpec)] == ["c", "k2", "links"]
     params = {fn.__name__: list(inspect.signature(fn).parameters)
               for fn in (pbh_verdict, gramian_check, eig_sym, eigenspaces,
-                         random_connected_graph)}
+                         random_connected_graph, verify_majorization)}
     assert params == {"pbh_verdict": ["L", "B"], "gramian_check": ["L", "B"],
                       "eig_sym": ["m"], "eigenspaces": ["dec"],
-                      "random_connected_graph": ["k", "rng"]}
+                      "random_connected_graph": ["k", "rng"],
+                      "verify_majorization": ["seed"]}
