@@ -8,6 +8,7 @@ per case, then a summary line. Exit codes: 0 success, 1 a verification or
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -144,6 +145,7 @@ def _cmd_export(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+@functools.cache  # built once per process; main only reads it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lapctrl",

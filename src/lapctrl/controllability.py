@@ -80,7 +80,8 @@ def _as_control(b, n: int) -> np.ndarray:
                          f"got shape {mat.shape}")
     mat = mat.reshape(n, 1)
     as_int = mat.astype(np.int64)
-    if not (np.asarray(mat, dtype=float) == as_int).all() or not np.isin(as_int, (0, 1)).all():
+    integral = (np.asarray(mat, dtype=float) == as_int).all()
+    if not integral or not ((as_int == 0) | (as_int == 1)).all():
         raise ValueError("input entries must be 0 or 1")
     if not as_int.any():
         raise ValueError("input must have at least one nonzero entry")

@@ -11,8 +11,6 @@ from __future__ import annotations
 import itertools
 import random
 
-import numpy as np
-
 from .graph_core import (Graph, conjugate, degree_sequence, gen_antiregular,
                          gen_complete, gen_path, laplacian,
                          random_connected_graph)
@@ -22,8 +20,6 @@ from .compose import (ChainSpec, CompositeSpec, OutOfSupport, append_path,
                       chain_antiregular, composite, path_split_controllable,
                       predict_composite, valid_chain_input)
 
-GAP_TOL = 1e-6         # spectrum counts as simple when adjacent gaps exceed this
-ZERO_ENTRY_REL = 1e-8  # |v_i| > 1e-8 * ||v||_inf counts as a nonzero entry
 DEFAULT_SEED = 2026
 
 _FAMILY_RANGE = range(2, 6)
@@ -38,20 +34,21 @@ def _exact(L, b) -> bool:
     return kalman_rank_exact(L, b) == len(L)
 
 
-def _block1_input(n: int, bits) -> np.ndarray:
+def _block1_input(n: int, bits):
     """n-by-1 input carrying bits on the first len(bits) vertices."""
     return input_vector(n, [v for v, bit in enumerate(bits, 1) if bit])
 
 
-def _support(L, targets: list[int]) -> tuple[bool, float, bool]:
-    """(ok, min gap, nonzero) for the spectrum of L: ok when the spectrum is
-    simple and every eigenvector is nonzero at the 0-based target rows."""
-    dec = eig_sym(L)
-    gaps = np.diff(dec.values)
-    min_gap = float(np.min(gaps)) if len(gaps) else float("inf")
-    peaks = np.max(np.abs(dec.modal), axis=0)
-    nonzero = bool(np.all(np.abs(dec.modal[targets, :]) > ZERO_ENTRY_REL * peaks))
-    return min_gap > GAP_TOL and nonzero, min_gap, nonzero
+def _support_case(name: str, entries: list[int], blind: list[int]) -> dict:
+    """A support claim: a simple spectrum, every eigenvector nonzero at each
+    entry. For a Laplacian that is control from each entry, so the claim
+    fails at the blind entries, where the exact oracle finds no control."""
+    return _case(name, not blind, f"entries {entries}; uncontrollable from {blind}")
+
+
+def _blind(L, entries: list[int]) -> list[int]:
+    """The entries v where a single input at v does not control L."""
+    return [v for v in entries if not _exact(L, input_vector(len(L), [v]))]
 
 
 def _family_graphs() -> list[tuple[str, Graph]]:
@@ -70,7 +67,7 @@ def verify_composite() -> list[dict]:
     composite at input (w-1)k2+s. theorem3 cases: whenever the structure
     has controllable vertices at all, the composite spectrum must be simple
     and every eigenvector must be nonzero at the composite-vertex indices
-    of those structure positions.
+    of those structure positions, which theorem4's oracle calls decide.
     """
     cases = []
     graphs = _family_graphs()
@@ -82,10 +79,11 @@ def verify_composite() -> list[dict]:
                 comp = composite(spec)
                 Lc = laplacian(comp)
                 k1, k2 = struct.n, cell.n
+                controls = {}
                 for w in range(1, k1 + 1):
                     pred = predict_composite(spec, w)
                     idx = (w - 1) * k2 + s
-                    oracle = _exact(Lc, input_vector(comp.n, [idx]))
+                    oracle = controls[idx] = _exact(Lc, input_vector(comp.n, [idx]))
                     ok = pred.controllable == oracle and pred.input_vertex == idx
                     cases.append(_case(
                         f"theorem4 structure={struct_name} cell={cell_name} s={s} w={w}", ok,
@@ -93,10 +91,10 @@ def verify_composite() -> list[dict]:
                 positions = controlling[struct_name]
                 if not positions:
                     continue
-                ok, min_gap, nonzero = _support(Lc, [(w - 1) * k2 + s - 1 for w in positions])
-                cases.append(_case(
-                    f"theorem3 structure={struct_name} cell={cell_name} s={s}", ok,
-                    f"min gap {min_gap:.3e}; entries nonzero at copies {positions}: {nonzero}"))
+                entries = [(w - 1) * k2 + s for w in positions]
+                cases.append(_support_case(
+                    f"theorem3 structure={struct_name} cell={cell_name} s={s}", entries,
+                    [v for v in entries if not controls[v]]))
     return cases
 
 
@@ -149,13 +147,11 @@ def verify_lemma6() -> list[dict]:
         for c in (1, 2, 3, 4):
             for links in itertools.product("DT", repeat=c - 1):
                 spec = ChainSpec(c=c, k2=k2, links=links)
-                kap = spec.kappa
-                ok, min_gap, nonzero = _support(laplacian(chain_antiregular(spec)),
-                                                [kap - 1, kap])
+                entries = [spec.kappa, spec.kappa + 1]
                 word = "".join(links) if links else "-"
-                cases.append(_case(
-                    f"lemma6 c={c} k2={k2} links={word}", ok,
-                    f"min gap {min_gap:.3e}; entries {kap},{kap + 1} nonzero: {nonzero}"))
+                cases.append(_support_case(
+                    f"lemma6 c={c} k2={k2} links={word}", entries,
+                    _blind(laplacian(chain_antiregular(spec)), entries)))
     return cases
 
 
@@ -173,10 +169,9 @@ def verify_lemma7() -> list[dict]:
             for m in range(1, 6):
                 appended = append_path(g, v, m)
                 # the path's far end is the last vertex
-                ok, min_gap, nonzero = _support(laplacian(appended), [appended.n - 1])
-                cases.append(_case(
-                    f"lemma7 {name} v={v} m={m}", ok,
-                    f"min gap {min_gap:.3e}; far-end entries nonzero: {nonzero}"))
+                entries = [appended.n]
+                cases.append(_support_case(f"lemma7 {name} v={v} m={m}", entries,
+                                           _blind(laplacian(appended), entries)))
     return cases
 
 

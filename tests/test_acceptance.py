@@ -14,14 +14,20 @@ import pytest
 
 from lapctrl import (
     ChainSpec,
+    CompositeSpec,
     OutOfSupport,
     antiregular_modal,
     antiregular_spectrum,
+    append_path,
     chain_antiregular,
+    composite,
     conjugate,
+    controllable_vertices,
     degree_sequence,
     eig_sym,
     gen_antiregular,
+    gen_complete,
+    gen_path,
     gen_threshold,
     gramian_check,
     input_vector,
@@ -104,8 +110,8 @@ def test_c04_composite_spectrum_simplicity(composite_cases):
     fails = _failures(cases)
     ok = not fails and len(cases) == 198
     _report(4, "composite spectrum simplicity", ok,
-            f"{len(cases)} spectra: min gap > 1e-6 and composite-vertex "
-            f"entries nonzero, {len(fails)} failures")
+            f"{len(cases)} spectra: exact oracle controls from every covered "
+            f"composite vertex, {len(fails)} failures")
     assert ok, fails[:10]
 
 
@@ -245,6 +251,54 @@ def test_c10_three_method_agreement():
     assert ok, disagreements[:10]
 
 
+def _support_targets():
+    """(name, L, v) for every entry whose support the theorem3, lemma6 and
+    lemma7 sweeps claim: each covered copy w of a composite, kappa and
+    kappa+1 of a chain, and the far end of an appended path."""
+    families = [(f"{name}{k}", make(k)) for name, make in
+                (("P", gen_path), ("AR", gen_antiregular), ("K", gen_complete))
+                for k in range(2, 6)]
+    controlling = {name: sorted(controllable_vertices(g)) for name, g in families}
+    for cell_name, cell in families:
+        for s in controlling[cell_name]:
+            for struct_name, struct in families:
+                L = laplacian(composite(CompositeSpec(structure=struct, cell=cell, s=s)))
+                for w in controlling[struct_name]:
+                    name = f"theorem3 {struct_name}({cell_name}) s={s} w={w}"
+                    yield name, L, (w - 1) * cell.n + s
+    for k2 in (2, 3, 4, 5):
+        for c in (1, 2, 3, 4):
+            for links in itertools.product("DT", repeat=c - 1):
+                spec = ChainSpec(c=c, k2=k2, links=links)
+                L = laplacian(chain_antiregular(spec))
+                for v in (spec.kappa, spec.kappa + 1):
+                    yield f"lemma6 c={c} k2={k2} links={''.join(links)} v={v}", L, v
+    hosts = [(f"AR{k}", gen_antiregular(k)) for k in range(2, 7)]
+    hosts += [(f"chain c=2 k2={k2} links={link}",
+               chain_antiregular(ChainSpec(c=2, k2=k2, links=(link,))))
+              for k2 in (2, 3) for link in "DT"]
+    for name, g in hosts:
+        for v in sorted(controllable_vertices(g)):
+            for m in range(1, 6):
+                appended = append_path(g, v, m)
+                yield f"lemma7 {name} v={v} m={m}", laplacian(appended), appended.n
+
+
+def test_pbh_agrees_with_exact_on_the_support_targets():
+    """The support sweeps are decided by the exact oracle alone; this keeps
+    a numeric cross-check on the same graphs, well past c10's n <= 8."""
+    count, outcomes, disagreements = 0, set(), []
+    for name, L, v in _support_targets():
+        b = input_vector(len(L), [v])
+        exact = kalman_rank_exact(L, b) == len(L)
+        count += 1
+        outcomes.add(exact)
+        if pbh_verdict(L, b).controllable != exact:
+            disagreements.append((name, exact))
+    assert count == 724 and outcomes == {True, False}
+    assert not disagreements, disagreements[:10]
+
+
 def test_chain_eigenvector_support_known_exceptions():
     """Companion to the seventh criterion: the exact list of failing cases is
     stable, so a regression that changes the set (either direction) is caught
@@ -260,6 +314,24 @@ def test_chain_eigenvector_support_known_exceptions():
         "lemma6 c=4 k2=2 links=TDT",
         "lemma6 c=4 k2=2 links=TTD",
     ]
+
+
+def test_chain_eigenvector_support_known_exceptions_past_the_sweep():
+    """Past the seventh criterion's range, the support claim fails outside
+    k2 = 2 too: among the c = 5, k2 = 3 chains, an input at kappa + 1 = 3
+    reaches only 13 of 15 dimensions on the link words TTTD and TTTT. The
+    other 14 words are controllable from both kappa and kappa + 1."""
+    ranks = {}
+    for links in itertools.product("DT", repeat=4):
+        spec = ChainSpec(c=5, k2=3, links=links)
+        L = laplacian(chain_antiregular(spec))
+        ranks["".join(links)] = tuple(kalman_rank_exact(L, input_vector(15, [v]))
+                                      for v in (spec.kappa, spec.kappa + 1))
+    assert len(ranks) == 16
+    assert {word: r for word, r in ranks.items() if r != (15, 15)} == {
+        "TTTD": (15, 13),
+        "TTTT": (15, 13),
+    }
 
 
 def test_chain_input_predicate_known_exceptions():

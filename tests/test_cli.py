@@ -396,6 +396,24 @@ def test_readme_cli_examples_parse():
     assert {argv[0] for argv in commands} == set(_subcommands(parser))
 
 
+def test_two_main_calls_build_one_parser(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.prog)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    build_parser.cache_clear()
+    try:
+        assert main(["gen", "path", "--k", "2"]) == 0
+        assert main(["gen", "complete", "--k", "3"]) == 0
+    finally:
+        build_parser.cache_clear()
+    assert built.count("lapctrl") == 1
+
+
 # ---------------------------------------------------------------------------
 # process-level behavior
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Controllability deciders: PBH, exact Kalman rank, and the Gramian test."""
 
+import importlib.util
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,8 +11,10 @@ import pytest
 from lapctrl import (
     GRAMIAN_EIG_FLOOR,
     ChainSpec,
+    CompositeSpec,
     Verdict,
     chain_antiregular,
+    composite,
     controllable_vertices,
     eig_sym,
     gen_antiregular,
@@ -28,6 +32,15 @@ from lapctrl import (
 
 def _ev(n, *vertices):
     return input_vector(n, vertices)
+
+
+def _bench_reference():
+    """bench/reference.py, loaded by file path (bench/ is not a package)."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("bench_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +167,21 @@ class TestPBH:
             for v in (3, 4):
                 assert kalman_rank_exact(L, _ev(36, v)) == 36
                 assert not pbh_verdict(L, _ev(36, v)).controllable, (links, v)
+
+    def test_known_false_negatives_on_ar10_of_p10_composites(self):
+        # Known-false pin: the composites of the structure AR10 and the cell
+        # P10 (order 100) are controllable at these (s, input) pairs, but
+        # PBH says uncontrollable. Each spectrum is simple (gaps above 6e-5),
+        # but one unit eigenvector's entry at the input lies between 2e-10
+        # and 1e-8, below the 1e-8 cover threshold. A Krylov rank of 100
+        # modulo the prime 2^31 - 1 certifies full rank over the rationals;
+        # the exact oracle would take about 1 s per case at this order.
+        rank_mod = _bench_reference()._rank_mod
+        for s, v in ((2, 59), (9, 51), (10, 51)):
+            spec = CompositeSpec(structure=gen_antiregular(10), cell=gen_path(10), s=s)
+            L = laplacian(composite(spec))
+            assert rank_mod(L, _ev(100, v), 2**31 - 1) == 100, (s, v)
+            assert not pbh_verdict(L, _ev(100, v)).controllable, (s, v)
 
 
 # ---------------------------------------------------------------------------
