@@ -17,8 +17,8 @@ from .graph_core import (Graph, gen_antiregular, gen_complete, gen_path,
                          gen_threshold, graph_from_json, graph_to_dot,
                          graph_to_json, laplacian)
 from .spectral import ConvergenceError, eig_sym
-from .controllability import (Verdict, gramian_check, input_vector,
-                              kalman_rank_exact, pbh_verdict)
+from .controllability import (Verdict, exact_verdict, gramian_check, input_vector,
+                              pbh_verdict)
 from .compose import (ChainSpec, CompositeSpec, append_path, chain_antiregular, composite,
                       predict_composite)
 from .verify import SUITES
@@ -56,6 +56,12 @@ def _cmd_spectrum(args) -> int:
     return 0
 
 
+def _deciders() -> dict:
+    """check's deciders by method name, in the order "all" runs them; built
+    per call, so a rebinding of these module names takes effect."""
+    return {"exact": exact_verdict, "pbh": pbh_verdict, "gramian": gramian_check}
+
+
 def _verdict_payload(verdict: Verdict) -> dict:
     """The JSON fields of a verdict, the one output format of every method."""
     witness = verdict.witness
@@ -64,29 +70,19 @@ def _verdict_payload(verdict: Verdict) -> dict:
             "rank": verdict.rank}
 
 
-def _check_verdict(method: str, L, b) -> Verdict:
-    """Decide controllability of (L, b) by one method of ``check``."""
-    if method == "exact":
-        rank = kalman_rank_exact(L, b)
-        return Verdict(controllable=rank == len(L), method="exact", rank=rank)
-    if method == "gramian":
-        return gramian_check(L, b)
-    return pbh_verdict(L, b)
-
-
 def _cmd_check(args) -> int:
     g = _load_graph(args.graph)
     L = laplacian(g)
     b = input_vector(g.n, args.input)
     agree = True
     if args.method == "all":
-        verdicts = {m: _check_verdict(m, L, b) for m in ("exact", "pbh", "gramian")}
+        verdicts = {m: decide(L, b) for m, decide in _deciders().items()}
         agree = len({v.controllable for v in verdicts.values()}) == 1
         payload = {"agree": agree,
                    **{m: _verdict_payload(v) for m, v in verdicts.items()}}
         decision = verdicts["exact"].controllable
     else:
-        verdict = _check_verdict(args.method, L, b)
+        verdict = _deciders()[args.method](L, b)
         payload = _verdict_payload(verdict)
         decision = verdict.controllable
     _emit(json.dumps(payload), args.output)
@@ -175,8 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph", help="graph JSON file, or - for stdin")
     p.add_argument("--input", type=int, nargs="+", required=True,
                    help="vertices wired to the single input")
-    p.add_argument("--method", choices=["exact", "pbh", "gramian", "all"],
-                   default="pbh")
+    p.add_argument("--method", choices=[*_deciders(), "all"], default="pbh")
     p.add_argument("--expect", choices=["controllable", "uncontrollable"])
     p.add_argument("--output", "-o")
     p.set_defaults(func=_cmd_check)

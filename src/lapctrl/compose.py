@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph_core import Graph, gen_antiregular, is_connected, laplacian
-from .controllability import Verdict, _as_control, input_vector, kalman_rank_exact
+from .controllability import Verdict, _as_control, exact_verdict, input_vector
 from .spectral import antiregular_spectrum, default_gtol, eig_sym
 
 __all__ = [
@@ -97,13 +97,13 @@ def predict_composite(spec: CompositeSpec, w: int) -> Verdict:
     k1, k2 = spec.structure.n, spec.cell.n
     if not 1 <= w <= k1:
         raise ValueError(f"structure vertex {w} out of range 1..{k1}")
-    cell_rank = kalman_rank_exact(laplacian(spec.cell), input_vector(k2, [spec.s]))
-    if cell_rank < k2:
+    cell = exact_verdict(laplacian(spec.cell), input_vector(k2, [spec.s]))
+    if not cell.controllable:
         raise HypothesisNotMet(
             f"cell is not single-input controllable at vertex {spec.s} "
-            f"(Kalman rank {cell_rank} of {k2})")
-    rank = kalman_rank_exact(laplacian(spec.structure), input_vector(k1, [w]))
-    return Verdict(controllable=(rank == k1), method="exact",
+            f"(Kalman rank {cell.rank} of {k2})")
+    structure = exact_verdict(laplacian(spec.structure), input_vector(k1, [w]))
+    return Verdict(controllable=structure.controllable, method="exact",
                    input_vertex=(w - 1) * k2 + spec.s)
 
 

@@ -29,6 +29,7 @@ __all__ = [
     "input_vector",
     "pbh_verdict",
     "kalman_rank_exact",
+    "exact_verdict",
     "controllable_vertices",
     "gramian_check",
     "GRAMIAN_EIG_FLOOR",
@@ -152,13 +153,18 @@ def kalman_rank_exact(L, B) -> int:
         g = math.gcd(*v)
         v = [x // g for x in v]
         pos = next(i for i, x in enumerate(v) if x)
-        if v[pos] < 0:
-            v = [-x for x in v]
         pivots.append((pos, v))
         if len(pivots) == n:
             break
         v = [sum(r * x for r, x in zip(row, v)) for row in rows]
     return len(pivots)
+
+
+def exact_verdict(L, B) -> Verdict:
+    """The exact oracle's verdict: (L, b) is controllable iff its Kalman
+    rank over the rationals is n. The verdict carries that rank."""
+    rank = kalman_rank_exact(L, B)
+    return Verdict(controllable=rank == len(L), method="exact", rank=rank)
 
 
 def controllable_vertices(g: Graph) -> set[int]:
@@ -167,7 +173,7 @@ def controllable_vertices(g: Graph) -> set[int]:
         raise ValueError("controllable_vertices needs a connected graph")
     L = laplacian(g)
     return {v for v in range(1, g.n + 1)
-            if kalman_rank_exact(L, input_vector(g.n, [v])) == g.n}
+            if exact_verdict(L, input_vector(g.n, [v])).controllable}
 
 
 # ---------------------------------------------------------------------------

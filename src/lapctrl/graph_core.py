@@ -267,7 +267,7 @@ def graph_from_json(text: str) -> Graph:
     """Parse the JSON graph format, canonicalizing the edge list."""
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"invalid graph JSON: {exc}") from exc
     if not isinstance(payload, dict) or "n" not in payload or "edges" not in payload:
         raise ValueError('graph JSON must be an object with "n" and "edges"')

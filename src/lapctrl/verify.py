@@ -15,7 +15,7 @@ from .graph_core import (Graph, conjugate, degree_sequence, gen_antiregular,
                          gen_complete, gen_path, laplacian,
                          random_connected_graph)
 from .spectral import check_majorization, eig_sym
-from .controllability import controllable_vertices, input_vector, kalman_rank_exact
+from .controllability import controllable_vertices, exact_verdict, input_vector
 from .compose import (ChainSpec, CompositeSpec, OutOfSupport, append_path,
                       chain_antiregular, composite, path_split_controllable,
                       predict_composite, valid_chain_input)
@@ -27,11 +27,6 @@ _FAMILY_RANGE = range(2, 6)
 
 def _case(name: str, ok, detail: str) -> dict:
     return {"case": name, "pass": bool(ok), "detail": detail}
-
-
-def _exact(L, b) -> bool:
-    """Exact oracle: is (L, b) controllable?"""
-    return kalman_rank_exact(L, b) == len(L)
 
 
 def _block1_input(n: int, bits):
@@ -48,7 +43,7 @@ def _support_case(name: str, entries: list[int], blind: list[int]) -> dict:
 
 def _blind(L, entries: list[int]) -> list[int]:
     """The entries v where a single input at v does not control L."""
-    return [v for v in entries if not _exact(L, input_vector(len(L), [v]))]
+    return [v for v in entries if not exact_verdict(L, input_vector(len(L), [v])).controllable]
 
 
 def _family_graphs() -> list[tuple[str, Graph]]:
@@ -83,7 +78,8 @@ def verify_composite() -> list[dict]:
                 for w in range(1, k1 + 1):
                     pred = predict_composite(spec, w)
                     idx = (w - 1) * k2 + s
-                    oracle = controls[idx] = _exact(Lc, input_vector(comp.n, [idx]))
+                    oracle = controls[idx] = exact_verdict(
+                        Lc, input_vector(comp.n, [idx])).controllable
                     ok = pred.controllable == oracle and pred.input_vertex == idx
                     cases.append(_case(
                         f"theorem4 structure={struct_name} cell={cell_name} s={s} w={w}", ok,
@@ -105,7 +101,7 @@ def verify_cj() -> list[dict]:
         L = laplacian(gen_path(k))
         for v in range(1, k + 1):
             predicted = path_split_controllable(v - 1, k - v)
-            oracle = _exact(L, input_vector(k, [v]))
+            oracle = exact_verdict(L, input_vector(k, [v])).controllable
             cases.append(_case(
                 f"cj P{k} v={v}", predicted == oracle,
                 f"split=({v - 1},{k - v}) predicted={predicted} oracle={oracle}"))
@@ -130,7 +126,7 @@ def verify_chain() -> list[dict]:
                         predicted = valid_chain_input(spec, b)
                     except OutOfSupport:
                         continue
-                    oracle = _exact(L, b)
+                    oracle = exact_verdict(L, b).controllable
                     word = "".join(links)
                     pattern = "".join(map(str, bits))
                     cases.append(_case(
@@ -210,10 +206,10 @@ def verify_figure1() -> list[dict]:
     spec = CompositeSpec(structure=gen_antiregular(7), cell=gen_antiregular(5), s=3)
     comp = composite(spec)
     pred = predict_composite(spec, 4)
-    rank = kalman_rank_exact(laplacian(comp), input_vector(comp.n, [18]))
-    ok = rank == comp.n and pred.controllable and pred.input_vertex == 18
+    oracle = exact_verdict(laplacian(comp), input_vector(comp.n, [18]))
+    ok = oracle.controllable and pred.controllable and pred.input_vertex == 18
     cases = [_case("figure1d composite AR7(AR5,s=3) input=18", ok,
-                   f"oracle rank {rank}/{comp.n}; predicted controllable={pred.controllable}")]
+                   f"oracle rank {oracle.rank}/{comp.n}; predicted controllable={pred.controllable}")]
     for links in itertools.product("DT", repeat=4):
         bare_spec = ChainSpec(c=5, k2=5, links=links)
         bare = chain_antiregular(bare_spec)
@@ -227,7 +223,8 @@ def verify_figure1() -> list[dict]:
                     continue
             except OutOfSupport:
                 continue
-            if _exact(L_bare, b_bare) and _exact(L_tail, _block1_input(tailed.n, pattern)):
+            if (exact_verdict(L_bare, b_bare).controllable and exact_verdict(
+                    L_tail, _block1_input(tailed.n, pattern)).controllable):
                 winners.append(label)
         word = "".join(links)
         cases.append(_case(

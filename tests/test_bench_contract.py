@@ -38,6 +38,24 @@ def test_every_traced_function_resolves():
         assert callable(getattr(importlib.import_module(f"lapctrl.{mod}"), fn)), (mod, fn)
 
 
+def test_check_calls_each_decider_by_its_module_name(monkeypatch, tmp_path, capsys):
+    # the tracer rebinds the names inside lapctrl.cli, so check must look its
+    # deciders up there when it runs, not hold them from import time
+    import lapctrl.cli as cli
+    calls = []
+    for name in ("exact_verdict", "pbh_verdict", "gramian_check"):
+        def counting(L, b, _decide=getattr(cli, name), _name=name):
+            calls.append(_name)
+            return _decide(L, b)
+        monkeypatch.setattr(cli, name, counting)
+    graph = tmp_path / "g.json"
+    graph.write_text('{"n": 3, "edges": [[1, 2], [2, 3]]}')
+    assert cli.main(["check", str(graph), "--input", "1", "--method", "all"]) == 0
+    assert cli.main(["check", str(graph), "--input", "1"]) == 0
+    capsys.readouterr()
+    assert calls == ["exact_verdict", "pbh_verdict", "gramian_check", "pbh_verdict"]
+
+
 def test_deciders_accept_the_benchmark_input_column(reference):
     spec = ChainSpec(c=2, k2=4, links=("D",))
     g = chain_antiregular(spec)

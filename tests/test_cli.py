@@ -197,6 +197,15 @@ class TestCheck:
         code, _, err = run_cli(capsys, "check", path3_file, "--input", "9")
         assert code == 2 and err.startswith("error:")
 
+    def test_deeply_nested_json_is_a_usage_error(self, capsys, tmp_path):
+        # nesting past the JSON parser's recursion limit is bad input, not a
+        # crash, so it takes exit 2 and leaves exit 1 to failed checks
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200000 + "]" * 200000)
+        code, out, err = run_cli(capsys, "check", str(deep), "--input", "1")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: invalid graph JSON")
+
 
 # ---------------------------------------------------------------------------
 # compose and chain

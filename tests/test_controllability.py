@@ -7,21 +7,26 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from lapctrl import (
     GRAMIAN_EIG_FLOOR,
     ChainSpec,
     CompositeSpec,
+    Graph,
     Verdict,
     chain_antiregular,
     composite,
     controllable_vertices,
     eig_sym,
+    exact_verdict,
     gen_antiregular,
     gen_complete,
     gen_path,
     gramian_check,
     input_vector,
+    is_connected,
     kalman_rank_exact,
     laplacian,
     pbh_verdict,
@@ -68,7 +73,7 @@ class TestInputVector:
         # decider, never a multi-input question
         L = laplacian(gen_path(6))
         B = np.hstack([_ev(6, 1), _ev(6, 2)])
-        deciders = [pbh_verdict, kalman_rank_exact, gramian_check,
+        deciders = [pbh_verdict, kalman_rank_exact, exact_verdict, gramian_check,
                     lambda _, b: valid_chain_input(ChainSpec(c=2, k2=3, links=("D",)), b)]
         for decide in deciders:
             with pytest.raises(ValueError, match="6x1 column"):
@@ -81,6 +86,7 @@ class TestInputVector:
                 col = _ev(g.n, v)
                 flat = col[:, 0]
                 assert kalman_rank_exact(L, flat) == kalman_rank_exact(L, col)
+                assert exact_verdict(L, flat) == exact_verdict(L, col)
                 assert pbh_verdict(L, flat).controllable == pbh_verdict(L, col).controllable
                 assert gramian_check(L, flat) == gramian_check(L, col)
 
@@ -170,18 +176,22 @@ class TestPBH:
 
     def test_known_false_negatives_on_ar10_of_p10_composites(self):
         # Known-false pin: the composites of the structure AR10 and the cell
-        # P10 (order 100) are controllable at these (s, input) pairs, but
-        # PBH says uncontrollable. Each spectrum is simple (gaps above 6e-5),
-        # but one unit eigenvector's entry at the input lies between 2e-10
-        # and 1e-8, below the 1e-8 cover threshold. A Krylov rank of 100
-        # modulo the prime 2^31 - 1 certifies full rank over the rationals;
-        # the exact oracle would take about 1 s per case at this order.
+        # P10 (order 100) are controllable at these twelve (s, input) pairs,
+        # every such pair a scan of all s and inputs finds, but PBH says
+        # uncontrollable. Each spectrum is simple, with smallest eigengaps
+        # from 6.2e-5 to 8.6e-5, but the smallest entry of a unit
+        # eigenvector at the input lies between 2.4e-10 and 9.8e-9, below
+        # the 1e-8 cover threshold. A Krylov rank of 100 modulo the prime
+        # 2^31 - 1 certifies full rank over the rationals; the exact oracle
+        # would take about 1 s per case at this order.
         rank_mod = _bench_reference()._rank_mod
-        for s, v in ((2, 59), (9, 51), (10, 51)):
+        inputs = {1: (50, 60), 2: (49, 50, 59, 60), 9: (41, 42, 51, 52), 10: (41, 51)}
+        for s, vertices in inputs.items():
             spec = CompositeSpec(structure=gen_antiregular(10), cell=gen_path(10), s=s)
             L = laplacian(composite(spec))
-            assert rank_mod(L, _ev(100, v), 2**31 - 1) == 100, (s, v)
-            assert not pbh_verdict(L, _ev(100, v)).controllable, (s, v)
+            for v in vertices:
+                assert rank_mod(L, _ev(100, v), 2**31 - 1) == 100, (s, v)
+                assert not pbh_verdict(L, _ev(100, v)).controllable, (s, v)
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +241,49 @@ class TestKalmanExact:
             ctrb = np.hstack([np.linalg.matrix_power(L.astype(float), i) @ b
                               for i in range(k)])
             assert kalman_rank_exact(L, b) == np.linalg.matrix_rank(ctrb, tol=1e-7)
+
+
+def _graph_and_input_sets(k, seed):
+    """A random connected graph of order k and four nonempty proper vertex sets."""
+    rng = random.Random(seed)
+    g = random_connected_graph(k, rng)
+    return g, [rng.sample(range(1, k + 1), rng.randint(1, k - 1)) for _ in range(4)]
+
+
+class TestExactMetamorphic:
+    # Relations the exact rank must keep, on random connected graphs of
+    # order up to 10. L has the eigenvector 1 (eigenvalue 0, a simple eigenvalue when G is
+    # connected), and the Krylov dimension of b counts the eigenspaces that
+    # b meets, so both relations follow from how the inputs meet them.
+
+    @given(st.integers(min_value=2, max_value=10), st.integers())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_input_complement_keeps_the_rank(self, k, seed):
+        # 1_S and 1_{V\S} sum to the eigenvector 1, so they meet the same
+        # eigenspaces: the kernel because S is nonempty and proper, every
+        # other one with opposite projections
+        g, sets = _graph_and_input_sets(k, seed)
+        L = laplacian(g)
+        for S in sets:
+            rest = [v for v in range(1, k + 1) if v not in S]
+            assert kalman_rank_exact(L, _ev(k, *S)) == kalman_rank_exact(L, _ev(k, *rest)), S
+
+    @given(st.integers(min_value=4, max_value=10), st.integers())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_graph_complement_keeps_the_rank(self, k, seed):
+        # L(G') = nI - J - L(G) maps each eigenvalue lambda of L(G) on the
+        # orthogonal complement of 1 to n - lambda; with G' connected, n is not an
+        # eigenvalue of L(G), so no two eigenspaces merge. Below order 4 no
+        # connected graph has a connected complement.
+        g, sets = _graph_and_input_sets(k, seed)
+        comp = Graph.from_edges(k, [(u, v) for u in range(1, k + 1)
+                                    for v in range(u + 1, k + 1) if (u, v) not in g.edges])
+        assume(is_connected(comp))
+        L, Lc = laplacian(g), laplacian(comp)
+        assert np.array_equal(Lc, k * np.eye(k, dtype=int) - np.ones((k, k), dtype=int) - L)
+        for S in sets:
+            b = _ev(k, *S)
+            assert kalman_rank_exact(Lc, b) == kalman_rank_exact(L, b), S
 
 
 # ---------------------------------------------------------------------------

@@ -244,6 +244,10 @@ class TestSerialization:
             with pytest.raises(ValueError):
                 graph_from_json(bad)
 
+    def test_json_rejects_nesting_past_the_recursion_limit(self):
+        with pytest.raises(ValueError, match="invalid graph JSON"):
+            graph_from_json("[" * 200000 + "]" * 200000)
+
     def test_dot_format(self):
         assert graph_to_dot(gen_path(2)) == "graph { 1 -- 2; }"
         assert graph_to_dot(gen_path(3)) == "graph { 1 -- 2; 2 -- 3; }"
