@@ -208,7 +208,7 @@ def valid_chain_input(spec: ChainSpec, b) -> bool:
     entries need not be proportional to (1-m) and 1), the screen would
     misfire, and the base condition alone is the correct test.
     """
-    as_int = _as_control(b, spec.c * spec.k2)[:, 0]
+    as_int = _as_control(b, spec.c * spec.k2)
     if as_int[spec.k2:].any():
         raise OutOfSupport("input reaches outside block 1; the theorem does not cover it")
     block1 = as_int[:spec.k2]

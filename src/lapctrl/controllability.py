@@ -36,7 +36,7 @@ __all__ = [
 ]
 
 GRAMIAN_EIG_FLOOR = 1e-24  # positivity threshold, times trace(W)/n
-_PBH_TOL = 1e-8  # smallest singular value of Q^T b that covers an eigenspace
+_PBH_TOL = 1e-8  # smallest |q^T b| that covers a simple eigenvalue's unit eigenvector q
 
 
 @dataclass(frozen=True)
@@ -74,12 +74,12 @@ def input_vector(n: int, vertices: Iterable[int]) -> np.ndarray:
 
 
 def _as_control(b, n: int) -> np.ndarray:
-    """The one input as a binary n-by-1 int64 column; b is flat or n-by-1."""
+    """The one input as a flat binary int64 vector; b is flat or n-by-1."""
     mat = np.asarray(b)
     if mat.shape not in ((n,), (n, 1)):
         raise ValueError(f"input must be a length-{n} vector or an {n}x1 column, "
                          f"got shape {mat.shape}")
-    mat = mat.reshape(n, 1)
+    mat = mat.reshape(n)
     as_int = mat.astype(np.int64)
     integral = (np.asarray(mat, dtype=float) == as_int).all()
     if not integral or not ((as_int == 0) | (as_int == 1)).all():
@@ -94,27 +94,26 @@ def _as_control(b, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def pbh_verdict(L, B) -> Verdict:
-    """Eigenvector test: controllable iff no eigenvector of L is orthogonal
-    to the input b.
+    """Eigenvector test: controllable iff every eigenvalue of L is simple and
+    no eigenvector is orthogonal to the input b.
 
-    L is decomposed once. For each eigenspace with orthonormal basis Q, the
-    SVD of the projection C = Q^T b decides it: the space is covered iff C
-    has as many singular values as Q has columns and the smallest exceeds
-    1e-8. One input can never cover an eigenspace of dimension >= 2, since
-    C then has one singular value. The returned witness is a unit
-    eigenvector w = Q u (u the last left singular vector of C), with
-    ||L w - lambda w||_inf and |w^T b| both below 1e-8.
+    L is decomposed once. An eigenspace is covered iff it is one-dimensional
+    and its unit eigenvector q has |q^T b| > 1e-8; one input can never cover
+    an eigenspace of dimension >= 2. The first uncovered space, with
+    orthonormal basis Q, yields the witness w = Q u, u a unit vector
+    orthogonal to Q^T b (the last left singular vector of that d-by-1
+    matrix): a unit eigenvector with ||L w - lambda w||_inf and |w^T b|
+    both below 1e-8.
     """
     Lmat = _check_square(L)
-    n = Lmat.shape[0]
-    bf = _as_control(B, n).astype(float)
+    bf = _as_control(B, Lmat.shape[0]).astype(float)
 
     for space in eigenspaces(eig_sym(Lmat)):
         Q = space.basis
-        u, s, _ = np.linalg.svd(Q.T @ bf)
-        if len(s) == Q.shape[1] and s[-1] > _PBH_TOL:
+        proj = Q.T @ bf
+        if len(proj) == 1 and abs(proj[0]) > _PBH_TOL:
             continue
-        witness = Q @ u[:, -1:]
+        witness = Q @ np.linalg.svd(proj[:, None])[0][:, -1:]
         witness = _fix_signs(witness / np.linalg.norm(witness))[:, 0]
         return Verdict(controllable=False, method="pbh",
                        witness=witness, witness_value=space.value)
@@ -142,7 +141,7 @@ def kalman_rank_exact(L, B) -> int:
 
     rows = [[int(x) for x in row] for row in as_int]
     pivots: list[tuple[int, list[int]]] = []
-    v = [int(x) for x in _as_control(B, n)[:, 0]]
+    v = [int(x) for x in _as_control(B, n)]
     while True:
         for pos, pivot in pivots:
             if v[pos]:
@@ -204,14 +203,14 @@ def gramian_check(L, B) -> Verdict:
     bf = _as_control(B, n).astype(float)
 
     dec = eig_sym(Lmat)
-    proj = dec.modal.T @ bf  # the input in the eigenbasis, n x 1
+    proj = dec.modal.T @ bf  # the input in the eigenbasis
     ts = np.linspace(0.0, 1.0, steps + 1)
     weights = np.full(steps + 1, 2.0)
     weights[1::2] = 4.0
     weights[0] = weights[-1] = 1.0
     weights *= 1.0 / steps / 3.0
 
-    factor = np.exp(-np.outer(dec.values, ts)) * proj  # n x (steps+1)
+    factor = np.exp(-np.outer(dec.values, ts)) * proj[:, None]  # n x (steps+1)
     factor *= np.sqrt(weights)
 
     if n > steps + 1:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -79,29 +79,20 @@ class Graph:
         return deg
 
 
-@dataclass(frozen=True)
-class DegreeSequence:
+class DegreeSequence(tuple):
     """Nonincreasing sequence of nonnegative vertex degrees."""
 
-    d: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "d", tuple(int(x) for x in self.d))
-        if len(self.d) == 0:
+    def __new__(cls, d):
+        self = super().__new__(cls, (int(x) for x in d))
+        if not self:
             raise ValueError("degree sequence must be nonempty")
-        if any(x < 0 for x in self.d):
+        if any(x < 0 for x in self):
             raise ValueError("degrees must be nonnegative")
-        if any(self.d[i] < self.d[i + 1] for i in range(len(self.d) - 1)):
+        if any(self[i] < self[i + 1] for i in range(len(self) - 1)):
             raise ValueError("degree sequence must be nonincreasing")
-
-    def __len__(self) -> int:
-        return len(self.d)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.d)
-
-    def __getitem__(self, i):
-        return self.d[i]
+        return self
 
 
 def _as_degseq(d) -> DegreeSequence:

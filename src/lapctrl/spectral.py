@@ -56,19 +56,18 @@ class Eigenspace:
 
 def _fix_signs(v: np.ndarray) -> np.ndarray:
     """Flip each column so its largest-magnitude entry (lowest index on ties)
-    is positive."""
-    v = v.copy()
-    for j in range(v.shape[1]):
-        lead = int(np.argmax(np.abs(v[:, j])))
-        if v[lead, j] < 0:
-            v[:, j] = -v[:, j]
-    return v
+    is positive; every zero entry comes back as +0.0."""
+    lead = np.argmax(np.abs(v), axis=0)
+    flip = v[lead, np.arange(v.shape[1])] < 0
+    return np.where(flip, -v, v) + 0.0
 
 
 def _check_square(m) -> np.ndarray:
     mat = np.asarray(m)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
+    if mat.size == 0:
+        raise ValueError(f"expected a nonempty square matrix, got shape {mat.shape}")
     return mat
 
 
@@ -91,7 +90,7 @@ def eig_sym(m) -> EigDecomp:
         raise ConvergenceError(f"eigensolver failed: {exc}") from exc
     modal = _fix_signs(v)
 
-    scale = float(np.max(np.sum(np.abs(a), axis=1))) if len(a) else 0.0
+    scale = float(np.max(np.sum(np.abs(a), axis=1)))
     residual = float(np.max(np.abs(a @ modal - modal * values)))
     if residual > _RESIDUAL_TOL * max(scale, 1e-300):
         raise ConvergenceError(f"eigen-residual {residual:.3e} above 1e-8 * scale")

@@ -125,6 +125,13 @@ class TestCheck:
         assert payload["controllable"] is False
         assert payload["witness"] is not None and len(payload["witness"]) == 3
 
+    def test_witness_has_no_negative_zero(self, capsys, monkeypatch):
+        code, out, _ = run_cli(capsys, "gen", "complete", "--k", "4")
+        monkeypatch.setattr(sys, "stdin", io.StringIO(out))
+        code, out, _ = run_cli(capsys, "check", "-", "--input", "1")
+        assert code == 0 and json.loads(out)["witness"] is not None
+        assert "-0.0" not in out
+
     def test_exact_method_reports_rank(self, capsys, path3_file):
         code, out, _ = run_cli(capsys, "check", path3_file, "--input", "2",
                                "--method", "exact")

@@ -20,6 +20,7 @@ from lapctrl import (
     composite,
     controllable_vertices,
     eig_sym,
+    eigenspaces,
     exact_verdict,
     gen_antiregular,
     gen_complete,
@@ -37,6 +38,32 @@ from lapctrl import (
 
 def _ev(n, *vertices):
     return input_vector(n, vertices)
+
+
+def _star(n):
+    return Graph.from_edges(n, [(1, v) for v in range(2, n + 1)])
+
+
+def _complete_bipartite(a, b):
+    return Graph.from_edges(a + b, [(u, a + v) for u in range(1, a + 1) for v in range(1, b + 1)])
+
+
+def _svd_witness(L, b):
+    """PBH by the SVD of each eigenspace's projection Q^T b (a d-by-1
+    matrix), the rule for a multi-column input: the first space whose
+    projection has fewer than d singular values above 1e-8 yields Q u, u the
+    last left singular vector of the full SVD, normalized and sign-fixed."""
+    for space in eigenspaces(eig_sym(L)):
+        Q = space.basis
+        u, s, _ = np.linalg.svd(Q.T @ b.reshape(-1, 1).astype(float))
+        if len(s) == Q.shape[1] and s[-1] > 1e-8:
+            continue
+        w = (Q @ u[:, -1:])[:, 0]
+        w = w / np.linalg.norm(w)
+        if w[int(np.argmax(np.abs(w)))] < 0:
+            w = -w
+        return w + 0.0, space.value
+    return None, None
 
 
 def _bench_reference():
@@ -148,6 +175,57 @@ class TestPBH:
         assert pbh_verdict(laplacian(gen_path(36)), _ev(36, 1)).controllable
         assert calls == [(36, 36)]
 
+    def _count_svd(self, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+
+        def counting(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        return calls
+
+    def test_controllable_pair_takes_no_svd(self, monkeypatch):
+        calls = self._count_svd(monkeypatch)
+        assert pbh_verdict(laplacian(gen_path(36)), _ev(36, 1)).controllable
+        assert calls == []
+
+    @pytest.mark.parametrize("g, v", [(gen_complete(5), 1), (gen_path(3), 2)])
+    def test_uncontrollable_pair_takes_one_svd(self, monkeypatch, g, v):
+        calls = self._count_svd(monkeypatch)
+        assert not pbh_verdict(laplacian(g), _ev(g.n, v)).controllable
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("g, vertices", [
+        *[(gen_complete(k), range(1, k + 1)) for k in range(3, 9)],
+        (_star(6), range(1, 7)),
+        (_complete_bipartite(3, 4), range(1, 8)),
+        (gen_path(3), [2]),
+        (gen_path(5), [3]),
+    ])
+    def test_witness_matches_the_svd_rule_bit_for_bit(self, g, vertices):
+        L = laplacian(g)
+        for v in vertices:
+            expected, value = _svd_witness(L, _ev(g.n, v))
+            verdict = pbh_verdict(L, _ev(g.n, v))
+            assert expected is not None and not verdict.controllable
+            assert verdict.witness.tobytes() == expected.tobytes(), v
+            assert verdict.witness_value == value
+
+    def test_witness_zero_entries_are_positive_zeros(self):
+        rng = random.Random(1)
+        zeros = 0
+        for _ in range(30):
+            g = random_connected_graph(rng.randint(2, 20), rng)
+            L = laplacian(g)
+            for v in range(1, g.n + 1):
+                w = pbh_verdict(L, _ev(g.n, v)).witness
+                if w is not None:
+                    zeros += int(np.count_nonzero(w == 0))
+                    assert not np.signbit(w[w == 0]).any()
+        assert zeros > 0
+
     def test_input_validation(self):
         L = laplacian(gen_path(3))
         with pytest.raises(ValueError):
@@ -158,6 +236,11 @@ class TestPBH:
             pbh_verdict(L, np.ones(4))              # wrong length
         with pytest.raises(ValueError):
             pbh_verdict(np.zeros((2, 3)), np.ones(2))  # non-square matrix
+
+    def test_empty_matrix_is_rejected(self):
+        for decide in (pbh_verdict, kalman_rank_exact, gramian_check):
+            with pytest.raises(ValueError, match="nonempty square matrix"):
+                decide(np.zeros((0, 0)), np.zeros(0))
 
     def test_known_false_negatives_on_six_block_chains(self):
         # Known-false pin: these chains of six AR6 blocks are controllable at

@@ -150,6 +150,9 @@ class TestDegreeSequences:
     def test_degree_sequence_sorted_nonincreasing(self):
         assert tuple(degree_sequence(gen_path(3))) == (2, 1, 1)
 
+    def test_degree_sequence_equals_its_tuple(self):
+        assert degree_sequence(gen_path(3)) == (2, 1, 1)
+
     def test_degree_sequence_validation(self):
         with pytest.raises(ValueError):
             DegreeSequence((1, 2))

@@ -69,6 +69,20 @@ class TestEigSym:
         with pytest.raises(ValueError):
             eig_sym(np.zeros((2, 3)))
 
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError, match="nonempty square matrix"):
+            eig_sym(np.zeros((0, 0)))
+
+    def test_zero_entries_are_positive_zeros(self):
+        # the sign flip must not turn an exact 0.0 into -0.0
+        rng = random.Random(1)
+        zeros = 0
+        for _ in range(60):
+            modal = eig_sym(laplacian(random_connected_graph(rng.randint(2, 20), rng))).modal
+            zeros += int(np.count_nonzero(modal == 0))
+            assert not np.signbit(modal[modal == 0]).any()
+        assert zeros > 0
+
     def test_scalar_matrix(self):
         dec = eig_sym(np.array([[5.0]]))
         assert dec.values[0] == pytest.approx(5.0)
