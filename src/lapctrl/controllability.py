@@ -1,10 +1,11 @@
 """Single-input Laplacian controllability decided three independent ways.
 
-The exact Kalman oracle is the ground truth: fraction-free integer
-elimination over the Krylov space of (L, b), immune to floating-point rank
-decisions. The PBH eigenspace test produces certificates (a witness
-eigenvector orthogonal to the input whenever it says "uncontrollable"),
-and the Gramian over [0, 1] gives a numeric energy reading. The test
+The exact Kalman oracle is the ground truth: the rank of the Krylov space
+of (L, b) over the rationals, computed modulo small primes and certified
+by a lower and an upper bound, immune to floating-point rank decisions.
+The PBH eigenspace test produces certificates (a witness eigenvector
+orthogonal to the input whenever it says "uncontrollable"), and the
+Gramian over [0, 1] gives a numeric energy reading. The test
 suite holds all three to agreement.
 
 Controllability here always means controllability of the consensus pair
@@ -15,6 +16,8 @@ vector or an n-by-1 column; any other shape is a ValueError.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -22,7 +25,7 @@ from typing import Iterable
 import numpy as np
 
 from .graph_core import Graph, is_connected, laplacian
-from .spectral import _check_square, _fix_signs, eig_sym, eigenspaces
+from .spectral import _check_square, _check_symmetric, _fix_signs, eig_sym, eigenspaces
 
 __all__ = [
     "Verdict",
@@ -124,39 +127,94 @@ def pbh_verdict(L, B) -> Verdict:
 # exact Kalman rank
 # ---------------------------------------------------------------------------
 
+@functools.cache
+def _prime(i: int) -> int:
+    """The (i+1)-th largest prime below 2^21, found on first use.
+
+    Residues below 2^21 keep every int64 dot product of length n under
+    n * 2^42, far from overflow at any order a dense matrix can have.
+    """
+    p = (_prime(i - 1) if i else 1 << 21) - 1
+    while p > 2 and any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+        p -= 1
+    if p <= 2:
+        raise RuntimeError("the exact oracle ran out of primes below 2^21")
+    return p
+
+
+def _krylov_mod(L: np.ndarray, b: np.ndarray, p: int) -> tuple[int, list[int] | None]:
+    """Krylov rank r of (L, b) over GF(p), for L with entries in [0, p).
+
+    The pivot rows are one reduced-echelon matrix, so a new vector is
+    reduced by one vector-matrix product and a new pivot clears its column
+    by one rank-1 update. Each row carries n more columns, the coefficients
+    of the polynomial f with row = f(L) b. When r < n, the vector that
+    reduces to zero yields the monic q_p of degree r with q_p(L) b = 0 mod p,
+    returned as its coefficients, constant first; at r = n that is None.
+    """
+    n = len(b)
+    rows = np.zeros((n, 2 * n), dtype=np.int64)
+    pivots = np.zeros(n, dtype=np.intp)
+    v = np.zeros(2 * n, dtype=np.int64)
+    v[:n], v[n] = b, 1
+    for r in range(n):
+        v -= v[pivots[:r]] @ rows[:r]
+        v %= p
+        nonzero = v[:n].nonzero()[0]
+        if not len(nonzero):
+            return r, (v[n:n + r + 1] * pow(int(v[n + r]), -1, p) % p).tolist()
+        pos = pivots[r] = nonzero[0]
+        v *= pow(int(v[pos]), -1, p)
+        v %= p
+        rows[:r] -= rows[:r, pos, None] * v
+        rows[:r] %= p
+        rows[r] = v
+        v = np.concatenate([L @ v[:n] % p, [0], v[n:-1]])
+    return n, None
+
+
 def kalman_rank_exact(L, B) -> int:
     """Rank of the Kalman matrix [b, Lb, ..., L^{n-1}b] over the rationals.
 
-    All arithmetic is exact. Each Krylov vector is reduced against the
-    stored pivot vectors by integer cross-multiplication, then normalized by
-    its gcd to keep the entries small, and the next vector is L times it.
-    The chain stops as soon as a vector reduces to zero, because the span is
-    then L-invariant and higher powers cannot enlarge it.
+    The Krylov chain runs modulo descending primes below 2^21, and the
+    answer is certified by two bounds, so no outcome rests on probability.
+    Lower bound: a rank mod p never exceeds the rank over the rationals,
+    so a rank of n mod any prime returns n at once. Upper bound: the
+    primes that reach the largest residue rank r each give the monic q_p
+    of degree r with q_p(L) b = 0 mod p; their product M combines them by
+    CRT into one q with symmetric residues, and q(L) b = 0 mod M. With R
+    the largest absolute row sum of L, every entry of q(L) b is at most
+    sum_k |q_k| R^k in size, so once M exceeds twice that bound q(L) b = 0
+    over the integers and the rank is at most r. Until then another prime
+    joins; a prime with a higher rank restarts the combination.
     """
     Lmat = _check_square(L)
     n = Lmat.shape[0]
     as_int = Lmat.astype(np.int64)
     if not (np.asarray(Lmat, dtype=float) == as_int).all():
         raise ValueError("exact rank needs an integer matrix")
+    b = _as_control(B, n)
 
-    rows = [[int(x) for x in row] for row in as_int]
-    pivots: list[tuple[int, list[int]]] = []
-    v = [int(x) for x in _as_control(B, n)]
-    while True:
-        for pos, pivot in pivots:
-            if v[pos]:
-                a, c = pivot[pos], v[pos]
-                v = [a * x - c * y for x, y in zip(v, pivot)]
-        if not any(v):
-            break
-        g = math.gcd(*v)
-        v = [x // g for x in v]
-        pos = next(i for i, x in enumerate(v) if x)
-        pivots.append((pos, v))
-        if len(pivots) == n:
-            break
-        v = [sum(r * x for r, x in zip(row, v)) for row in rows]
-    return len(pivots)
+    best, coeffs, modulus, row_sum = 0, [], 1, None
+    for i in itertools.count():
+        p = _prime(i)
+        rank, q = _krylov_mod(as_int % p, b, p)
+        if rank == n:
+            return n
+        if rank < best:
+            continue
+        if rank > best:
+            best, coeffs, modulus = rank, [0] * (rank + 1), 1
+        step = pow(modulus, -1, p)
+        coeffs = [c + modulus * ((x - c) * step % p) for c, x in zip(coeffs, q)]
+        modulus *= p
+        if row_sum is None:
+            row_sum = int(abs(as_int.astype(object)).sum(axis=1).max())
+        bound = 0
+        for c in reversed(coeffs):
+            bound = bound * row_sum + min(c, modulus - c)
+        if modulus > 2 * bound:
+            return rank
 
 
 def exact_verdict(L, B) -> Verdict:
@@ -194,13 +252,17 @@ def gramian_check(L, B) -> Verdict:
 
     The horizon is 1 and the quadrature takes 200 steps. A full-rank verdict
     needs 201 >= n samples; above that order the quadrature Gramian is
-    structurally rank deficient and the pair reports uncontrollable.
+    structurally rank deficient and the pair reports uncontrollable without
+    an eigensolve.
     """
     steps = 200  # Simpson intervals over [0, 1]; must be even
 
     Lmat = _check_square(L)
     n = Lmat.shape[0]
     bf = _as_control(B, n).astype(float)
+    if n > steps + 1:
+        _check_symmetric(Lmat)
+        return Verdict(controllable=False, method="gramian", min_eigenvalue=0.0)
 
     dec = eig_sym(Lmat)
     proj = dec.modal.T @ bf  # the input in the eigenbasis
@@ -213,8 +275,6 @@ def gramian_check(L, B) -> Verdict:
     factor = np.exp(-np.outer(dec.values, ts)) * proj[:, None]  # n x (steps+1)
     factor *= np.sqrt(weights)
 
-    if n > steps + 1:
-        return Verdict(controllable=False, method="gramian", min_eigenvalue=0.0)
     sig = np.linalg.svd(factor, compute_uv=False)
     min_eig = float(sig[-1] ** 2)
     trace = float(np.sum(sig ** 2))

@@ -68,20 +68,26 @@ def _check_square(m) -> np.ndarray:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
     if mat.size == 0:
         raise ValueError(f"expected a nonempty square matrix, got shape {mat.shape}")
+    if mat.dtype.kind in "fc" and not np.isfinite(mat).all():
+        raise ValueError("matrix has non-finite entries")
     return mat
+
+
+def _check_symmetric(mat: np.ndarray) -> None:
+    if not (mat == mat.T).all():
+        raise ValueError("matrix is not symmetric")
 
 
 def eig_sym(m) -> EigDecomp:
     """Eigendecomposition of a symmetric matrix by LAPACK (numpy.linalg.eigh).
 
-    The input must be exactly symmetric. Values come back ascending; each
-    modal column is flipped so its largest-magnitude entry (lowest index on
-    ties) is positive. A LAPACK failure raises ConvergenceError, as does a
+    The input must be finite and exactly symmetric. Values come back
+    ascending; each modal column is flipped so its largest-magnitude entry
+    (lowest index on ties) is positive. A LAPACK failure raises ConvergenceError, as does a
     residual above 1e-8 * the max row sum of |m|.
     """
     raw = _check_square(m)
-    if not (raw == raw.T).all():
-        raise ValueError("matrix is not symmetric")
+    _check_symmetric(raw)
 
     a = raw.astype(float)
     try:

@@ -1,9 +1,7 @@
 """Controllability deciders: PBH, exact Kalman rank, and the Gramian test."""
 
-import importlib.util
 import math
 import random
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -66,13 +64,33 @@ def _svd_witness(L, b):
     return None, None
 
 
-def _bench_reference():
-    """bench/reference.py, loaded by file path (bench/ is not a package)."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "reference.py"
-    spec = importlib.util.spec_from_file_location("bench_reference", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+def _fraction_free_rank(L, b):
+    """Kalman rank over the rationals by fraction-free integer elimination,
+    the exact oracle's earlier routine, kept as the reference it must match.
+
+    Each Krylov vector is reduced against the stored pivot vectors by
+    integer cross-multiplication and divided by its gcd; the next vector is
+    L times it. The chain stops when a vector reduces to zero.
+    """
+    n = len(L)
+    rows = [[int(x) for x in row] for row in np.asarray(L)]
+    pivots = []
+    v = [int(x) for x in np.asarray(b).reshape(n)]
+    while True:
+        for pos, pivot in pivots:
+            if v[pos]:
+                a, c = pivot[pos], v[pos]
+                v = [a * x - c * y for x, y in zip(v, pivot)]
+        if not any(v):
+            break
+        g = math.gcd(*v)
+        v = [x // g for x in v]
+        pos = next(i for i, x in enumerate(v) if x)
+        pivots.append((pos, v))
+        if len(pivots) == n:
+            break
+        v = [sum(r * x for r, x in zip(row, v)) for row in rows]
+    return len(pivots)
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +260,14 @@ class TestPBH:
             with pytest.raises(ValueError, match="nonempty square matrix"):
                 decide(np.zeros((0, 0)), np.zeros(0))
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_matrix_is_rejected(self, bad):
+        L = laplacian(gen_path(4)).astype(float)
+        L[0, 1] = L[1, 0] = bad
+        for decide in (pbh_verdict, kalman_rank_exact, gramian_check):
+            with pytest.raises(ValueError, match="non-finite entries"):
+                decide(L, _ev(4, 1))
+
     def test_known_false_negatives_on_six_block_chains(self):
         # Known-false pin: these chains of six AR6 blocks are controllable at
         # vertices 3 and 4 (exact rank 36/36), but PBH says uncontrollable.
@@ -264,16 +290,13 @@ class TestPBH:
         # uncontrollable. Each spectrum is simple, with smallest eigengaps
         # from 6.2e-5 to 8.6e-5, but the smallest entry of a unit
         # eigenvector at the input lies between 2.4e-10 and 9.8e-9, below
-        # the 1e-8 cover threshold. A Krylov rank of 100 modulo the prime
-        # 2^31 - 1 certifies full rank over the rationals; the exact oracle
-        # would take about 1 s per case at this order.
-        rank_mod = _bench_reference()._rank_mod
+        # the 1e-8 cover threshold.
         inputs = {1: (50, 60), 2: (49, 50, 59, 60), 9: (41, 42, 51, 52), 10: (41, 51)}
         for s, vertices in inputs.items():
             spec = CompositeSpec(structure=gen_antiregular(10), cell=gen_path(10), s=s)
             L = laplacian(composite(spec))
             for v in vertices:
-                assert rank_mod(L, _ev(100, v), 2**31 - 1) == 100, (s, v)
+                assert kalman_rank_exact(L, _ev(100, v)) == 100, (s, v)
                 assert not pbh_verdict(L, _ev(100, v)).controllable, (s, v)
 
 
@@ -324,6 +347,89 @@ class TestKalmanExact:
             ctrb = np.hstack([np.linalg.matrix_power(L.astype(float), i) @ b
                               for i in range(k)])
             assert kalman_rank_exact(L, b) == np.linalg.matrix_rank(ctrb, tol=1e-7)
+
+    def test_matches_the_fraction_free_reference(self):
+        # every vertex of P, K and AR up to order 20 and at order 30; one
+        # input per random graph of every other order up to 40, a single
+        # vertex and a vertex set in turn
+        cases = []
+        for k in (*range(2, 21), 30):
+            for g in (gen_path(k), gen_complete(k), gen_antiregular(k)):
+                cases += [(laplacian(g), _ev(k, v)) for v in range(1, k + 1)]
+        rng = random.Random(40)
+        for i, k in enumerate(range(2, 41, 2)):
+            L = laplacian(random_connected_graph(k, rng))
+            cases.append((L, _ev(k, *rng.sample(range(1, k + 1), rng.randint(1, k) if i % 2 else 1))))
+        for structure, cell in ((gen_antiregular(4), gen_path(4)),
+                                (gen_path(4), gen_antiregular(4))):
+            for s in range(1, cell.n + 1):
+                g = composite(CompositeSpec(structure=structure, cell=cell, s=s))
+                cases += [(laplacian(g), _ev(g.n, v)) for v in range(1, g.n + 1)]
+        for k in range(2, 9):
+            L = laplacian(gen_path(k))
+            for v in range(1, k + 1):
+                cases += [(10**9 * L, _ev(k, v)), (7 * L + 3 * np.eye(k, dtype=np.int64), _ev(k, v)),
+                          (-L, _ev(k, v))]
+        deficient = 0
+        for L, b in cases:
+            expected = _fraction_free_rank(L, b)
+            assert kalman_rank_exact(L, b) == expected, (L.tolist(), b.ravel().tolist())
+            deficient += expected < len(L)
+        assert 0 < deficient < len(cases)  # both bounds decide some case
+
+    @pytest.fixture
+    def residue_ranks(self, monkeypatch):
+        """(prime, residue rank) of each Krylov run mod p, in order; more than
+        ten runs fail the test instead of running on."""
+        import lapctrl.controllability as ctrl
+        runs = []
+        krylov = ctrl._krylov_mod
+
+        def recording(L, b, p):
+            assert len(runs) < 10, runs
+            rank, q = krylov(L, b, p)
+            runs.append((p, rank))
+            return rank, q
+
+        monkeypatch.setattr(ctrl, "_krylov_mod", recording)
+        return runs, [ctrl._prime(i) for i in range(4)]
+
+    def test_an_uncertified_upper_bound_takes_another_prime(self, residue_ranks):
+        # modulo each of the first two primes p0 and p1, diag(0, p0 p1) is
+        # zero, so both see rank 1 with q = x; with R = p0 p1 the bound needs
+        # M > 2 p0 p1, which their product M = p0 p1 is not, and the third
+        # prime sees the full rank
+        runs, (p0, p1, p2, _) = residue_ranks
+        assert kalman_rank_exact(np.diag([0, p0 * p1]), [1, 1]) == 2
+        assert runs == [(p0, 1), (p1, 1), (p2, 2)]
+
+    @pytest.mark.parametrize("j", [0, 1])
+    def test_a_prime_below_the_top_residue_rank_is_left_out(self, residue_ranks, j):
+        # diag(0, 0, p_j) has rank 2, but modulo p_j it is zero and has rank
+        # 1: at j = 0 the second prime's higher rank restarts the combination,
+        # at j = 1 the second prime is skipped; q = x^2 - p_j x and R = p_j
+        # give the bound 2 p_j^2, which takes three primes at rank 2
+        runs, primes = residue_ranks
+        assert kalman_rank_exact(np.diag([0, 0, primes[j]]), [1, 1, 1]) == 2
+        assert runs == [(p, 1 if i == j else 2) for i, p in enumerate(primes)]
+
+    def test_rank_deficient_pairs_are_certified_by_crt(self):
+        # vertex 64 copies the neighbours of vertex 63, so e_63 - e_64 is an
+        # eigenvector that the input at vertex 1 misses
+        g = random_connected_graph(63, random.Random(64))
+        twin = [(u + v - 63, 64) for u, v in g.edges if 63 in (u, v)]
+        g = Graph.from_edges(64, [*g.edges, *twin])
+        assert kalman_rank_exact(laplacian(g), _ev(64, 1)) == 63
+        spec = CompositeSpec(structure=gen_antiregular(10), cell=gen_path(10), s=1)
+        assert kalman_rank_exact(laplacian(composite(spec)), _ev(100, 1)) == 20
+
+    def test_large_entries_do_not_overflow(self):
+        # residues below 2^21 keep products in int64 whatever the entries;
+        # at vertex 8 the rank is deficient and R = 2^42 takes many primes
+        L = laplacian(gen_path(40))
+        for v in (1, 8):
+            assert kalman_rank_exact(2**40 * L, _ev(40, v)) == kalman_rank_exact(L, _ev(40, v))
+        assert kalman_rank_exact(L, _ev(40, 8)) == 38
 
 
 def _graph_and_input_sets(k, seed):
@@ -441,11 +547,22 @@ class TestGramian:
         with pytest.raises(ValueError, match="0 or 1"):
             gramian_check(L, np.array([2, 0]))
 
-    def test_too_few_samples_reports_rank_deficient(self):
-        # 201 quadrature nodes cannot span 202 dimensions
-        res = gramian_check(laplacian(gen_path(202)), _ev(202, 1))
+    def test_too_few_samples_reports_rank_deficient(self, monkeypatch):
+        # 201 quadrature nodes cannot span 202 dimensions, which the shape
+        # alone decides, before any eigensolve
+        import lapctrl.controllability as ctrl
+
+        def no_eigensolve(m):
+            raise AssertionError("eig_sym called")
+
+        monkeypatch.setattr(ctrl, "eig_sym", no_eigensolve)
+        L = laplacian(gen_path(202))
+        res = gramian_check(L, _ev(202, 1))
         assert (res.controllable, res.min_eigenvalue) == (False, 0.0)
         assert res.method == "gramian"
+        L[0, 2] = -1
+        with pytest.raises(ValueError, match="not symmetric"):
+            gramian_check(L, _ev(202, 1))
 
     def test_floor_constant_is_tiny(self):
         assert GRAMIAN_EIG_FLOOR < 1e-20

@@ -73,6 +73,14 @@ class TestEigSym:
         with pytest.raises(ValueError, match="nonempty square matrix"):
             eig_sym(np.zeros((0, 0)))
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_rejects_non_finite(self, bad):
+        # an inf entry used to come back as all-NaN eigenvalues, no error
+        m = laplacian(gen_path(4)).astype(float)
+        m[0, 1] = m[1, 0] = bad
+        with pytest.raises(ValueError, match="non-finite entries"):
+            eig_sym(m)
+
     def test_zero_entries_are_positive_zeros(self):
         # the sign flip must not turn an exact 0.0 into -0.0
         rng = random.Random(1)
