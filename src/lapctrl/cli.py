@@ -21,7 +21,11 @@ from .controllability import (Verdict, exact_verdict, gramian_check, input_vecto
                               pbh_verdict)
 from .compose import (ChainSpec, CompositeSpec, append_path, chain_antiregular, composite,
                       predict_composite)
-from .verify import SUITES
+from .verify import DEFAULT_SEED, SUITES
+
+# Largest graph order the CLI builds; a dense Laplacian of this order takes
+# 8 MB and its exact check about 15 s on one core.
+_MAX_ORDER = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -35,12 +39,20 @@ def _emit(text: str, output: str | None) -> None:
         print(text)
 
 
+def _check_order(n: int) -> None:
+    if n > _MAX_ORDER:
+        raise ValueError(f"graph order {n} is above the CLI's limit of {_MAX_ORDER}")
+
+
 def _load_graph(path: str) -> Graph:
     text = sys.stdin.read() if path == "-" else Path(path).read_text()
-    return graph_from_json(text)
+    g = graph_from_json(text)
+    _check_order(g.n)
+    return g
 
 
 def _cmd_gen(args) -> int:
+    _check_order(len(args.value) + 1 if isinstance(args.value, str) else args.value)
     _emit(graph_to_json(args.make(args.value)), args.output)
     return 0
 
@@ -74,27 +86,19 @@ def _cmd_check(args) -> int:
     g = _load_graph(args.graph)
     L = laplacian(g)
     b = input_vector(g.n, args.input)
-    agree = True
-    if args.method == "all":
-        verdicts = {m: decide(L, b) for m, decide in _deciders().items()}
-        agree = len({v.controllable for v in verdicts.values()}) == 1
-        payload = {"agree": agree,
-                   **{m: _verdict_payload(v) for m, v in verdicts.items()}}
-        decision = verdicts["exact"].controllable
-    else:
-        verdict = _deciders()[args.method](L, b)
-        payload = _verdict_payload(verdict)
-        decision = verdict.controllable
-    _emit(json.dumps(payload), args.output)
-    if not agree:
+    verdicts = {m: decide(L, b) for m, decide in _deciders().items()
+                if args.method in (m, "all")}
+    outcomes = {v.controllable for v in verdicts.values()}
+    payloads = {m: _verdict_payload(v) for m, v in verdicts.items()}
+    _emit(json.dumps({"agree": len(outcomes) == 1, **payloads} if args.method == "all"
+                     else payloads[args.method]), args.output)
+    if len(outcomes) > 1:
         return 1
-    if args.expect is not None:
-        wanted = args.expect == "controllable"
-        if decision != wanted:
-            print(f"expectation failed: wanted {args.expect}, got "
-                  f"{'controllable' if decision else 'uncontrollable'}",
-                  file=sys.stderr)
-            return 1
+    (decision,) = outcomes
+    if args.expect is not None and decision != (args.expect == "controllable"):
+        print(f"expectation failed: wanted {args.expect}, got "
+              f"{'controllable' if decision else 'uncontrollable'}", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -103,6 +107,7 @@ def _cmd_compose(args) -> int:
     cell = _load_graph(args.cell)
     spec = CompositeSpec(structure=structure, cell=cell, s=args.s)
     if args.predict is None:
+        _check_order(structure.n * cell.n)
         _emit(graph_to_json(composite(spec)), args.output)
         return 0
     verdict = predict_composite(spec, args.predict)
@@ -113,16 +118,14 @@ def _cmd_compose(args) -> int:
 
 def _cmd_chain(args) -> int:
     spec = ChainSpec(c=args.c, k2=args.k2, links=tuple(args.links))
+    _check_order(spec.c * spec.k2 + args.tail)
     _emit(graph_to_json(append_path(chain_antiregular(spec), spec.kappa, args.tail)),
           args.output)
     return 0
 
 
 def _cmd_verify(args) -> int:
-    if args.seed is not None and args.suite != "majorization":
-        raise ValueError(f"verify {args.suite} takes no --seed; "
-                         "it applies to the majorization suite only")
-    cases = SUITES[args.suite](**({} if args.seed is None else {"seed": args.seed}))
+    cases = SUITES[args.suite](**({"seed": args.seed} if "seed" in args else {}))
     failures = 0
     for case in cases:
         print(json.dumps(case))
@@ -148,9 +151,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="Graph families, Laplacian spectra, and single-input "
                     "Laplacian controllability.")
     sub = parser.add_subparsers(dest="verb", required=True)
+    verbs = {}
+    for verb, func, text in (
+            ("gen", _cmd_gen, "generate a graph family member"),
+            ("spectrum", _cmd_spectrum, "eigenvalues and eigenvectors of the Laplacian"),
+            ("check", _cmd_check, "test controllability for one input"),
+            ("compose", _cmd_compose, "composite of a structure and a cell graph"),
+            ("chain", _cmd_chain, "chain of antiregular blocks"),
+            ("verify", _cmd_verify, "run a theorem-versus-oracle sweep"),
+            ("export", _cmd_export, "re-emit a graph as DOT or normalized JSON")):
+        verbs[verb] = sub.add_parser(verb, help=text)
+        verbs[verb].set_defaults(func=func)
+    for verb in ("spectrum", "check", "export"):
+        verbs[verb].add_argument("graph", help="graph JSON file, or - for stdin")
 
-    p = sub.add_parser("gen", help="generate a graph family member")
-    families = p.add_subparsers(dest="family", required=True)
+    families = verbs["gen"].add_subparsers(dest="family", required=True)
     for family, make, option, kind, text in (
             ("path", gen_path, "--k", int, "vertex count"),
             ("antiregular", gen_antiregular, "--k", int, "vertex count"),
@@ -159,52 +174,41 @@ def build_parser() -> argparse.ArgumentParser:
         p = families.add_parser(family, help=f"the {family} family")
         p.add_argument(option, dest="value", metavar=option[2:].upper(), type=kind,
                        required=True, help=text)
-        p.add_argument("--output", "-o")
-        p.set_defaults(func=_cmd_gen, make=make)
+        p.set_defaults(make=make)
 
-    p = sub.add_parser("spectrum", help="eigenvalues and eigenvectors of the Laplacian")
-    p.add_argument("graph", help="graph JSON file, or - for stdin")
-    p.add_argument("--output", "-o")
-    p.set_defaults(func=_cmd_spectrum)
-
-    p = sub.add_parser("check", help="test controllability for one input")
-    p.add_argument("graph", help="graph JSON file, or - for stdin")
+    p = verbs["check"]
     p.add_argument("--input", type=int, nargs="+", required=True,
                    help="vertices wired to the single input")
     p.add_argument("--method", choices=[*_deciders(), "all"], default="pbh")
     p.add_argument("--expect", choices=["controllable", "uncontrollable"])
-    p.add_argument("--output", "-o")
-    p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("compose", help="composite of a structure and a cell graph")
+    p = verbs["compose"]
     p.add_argument("--structure", required=True, help="structure graph JSON file")
     p.add_argument("--cell", required=True, help="cell graph JSON file")
     p.add_argument("--s", type=int, required=True, help="composite vertex of the cell")
     p.add_argument("--predict", type=int, metavar="W",
                    help="predict controllability at structure vertex W instead "
                         "of emitting the graph")
-    p.add_argument("--output", "-o")
-    p.set_defaults(func=_cmd_compose)
 
-    p = sub.add_parser("chain", help="chain of antiregular blocks")
+    p = verbs["chain"]
     p.add_argument("--c", type=int, required=True, help="block count")
     p.add_argument("--k2", type=int, required=True, help="block order")
     p.add_argument("--links", default="", help="junction word over D/T, length c-1")
     p.add_argument("--tail", type=int, default=0,
                    help="length of a path appended at block 1's degree-repeating vertex")
-    p.add_argument("--output", "-o")
-    p.set_defaults(func=_cmd_chain)
 
-    p = sub.add_parser("verify", help="run a theorem-versus-oracle sweep")
-    p.add_argument("suite", choices=list(SUITES))
-    p.add_argument("--seed", type=int, help="random seed for the majorization suite")
-    p.set_defaults(func=_cmd_verify)
+    suites = verbs["verify"].add_subparsers(dest="suite", required=True)
+    for suite in SUITES:
+        suites.add_parser(suite, help=f"the {suite} sweep")
+    suites.choices["majorization"].add_argument("--seed", type=int, default=DEFAULT_SEED,
+                                                help="random seed")
 
-    p = sub.add_parser("export", help="re-emit a graph as DOT or normalized JSON")
-    p.add_argument("graph", help="graph JSON file, or - for stdin")
-    p.add_argument("--dot", action="store_true", help="emit DOT instead of normalized JSON")
-    p.add_argument("--output", "-o")
-    p.set_defaults(func=_cmd_export)
+    verbs["export"].add_argument("--dot", action="store_true",
+                                 help="emit DOT instead of normalized JSON")
+
+    for p in [*families.choices.values(),
+              *(verbs[v] for v in ("spectrum", "check", "compose", "chain", "export"))]:
+        p.add_argument("--output", "-o")
 
     return parser
 

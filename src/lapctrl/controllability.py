@@ -83,6 +83,8 @@ def _as_control(b, n: int) -> np.ndarray:
         raise ValueError(f"input must be a length-{n} vector or an {n}x1 column, "
                          f"got shape {mat.shape}")
     mat = mat.reshape(n)
+    if mat.dtype.kind == "c":
+        raise ValueError("input entries must be 0 or 1")
     as_int = mat.astype(np.int64)
     integral = (np.asarray(mat, dtype=float) == as_int).all()
     if not integral or not ((as_int == 0) | (as_int == 1)).all():

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph_core import _as_degseq, gen_antiregular, laplacian
+from .graph_core import _as_degseq
 
 __all__ = [
     "ConvergenceError",
@@ -68,7 +68,9 @@ def _check_square(m) -> np.ndarray:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
     if mat.size == 0:
         raise ValueError(f"expected a nonempty square matrix, got shape {mat.shape}")
-    if mat.dtype.kind in "fc" and not np.isfinite(mat).all():
+    if mat.dtype.kind == "c":
+        raise ValueError("matrix must be real")
+    if mat.dtype.kind == "f" and not np.isfinite(mat).all():
         raise ValueError("matrix has non-finite entries")
     return mat
 
@@ -145,27 +147,24 @@ def antiregular_modal(k: int) -> np.ndarray:
     """Integer eigenvector matrix of the antiregular graph on k vertices.
 
     Column j pairs with antiregular_spectrum(k)[j], so columns run from the
-    all-ones kernel vector up to the eigenvector for eigenvalue k. Built
-    entirely in integer arithmetic: start from the Laplacian, replace each
-    strictly upper-triangular entry x by -1-x, reset the diagonal so every
-    column sums to zero, drop the single zero column this produces, and
-    prepend the all-ones column (the sign of that column is free; we take
-    +1). Before the reordering the surviving columns pair with the leading
-    entries of the conjugate degree sequence, largest eigenvalue first.
+    all-ones kernel vector up to the eigenvector for eigenvalue k. The table
+    is written from its closed form (vertices 1-indexed): column 0 is all
+    ones; for j = 1 .. ceil(k/2)-1, column j (eigenvalue j) is -1 on
+    vertices j+1 .. k-j and k-2j at vertex k+1-j; for j = 1 .. floor(k/2),
+    column k-j (eigenvalue k+1-j) is k-2j+1 at vertex j and -1 on vertices
+    j+1 .. k+1-j. Every other entry is 0.
     """
-    t1 = laplacian(gen_antiregular(k))
-    upper = np.triu(np.ones((k, k), dtype=bool), 1)
-    t2 = np.where(upper, -1 - t1, t1)
-    t3 = t2.copy()
-    np.fill_diagonal(t3, -(t2.sum(axis=0) - np.diag(t2)))
-    zero_cols = np.flatnonzero(~t3.any(axis=0))
-    if len(zero_cols) != 1:
-        raise RuntimeError(
-            f"antiregular eigenvector table for k={k}: expected exactly one "
-            f"zero column, found {len(zero_cols)} at {zero_cols.tolist()}")
-    z = int(zero_cols[0])
-    kept = np.delete(t3, z, axis=1)
-    return np.concatenate([np.ones((k, 1), dtype=np.int64), kept[:, ::-1]], axis=1)
+    if k < 2:
+        raise ValueError("antiregular graphs need at least two vertices")
+    modal = np.zeros((k, k), dtype=np.int64)
+    modal[:, 0] = 1
+    for j in range(1, (k + 1) // 2):
+        modal[j:k - j, j] = -1
+        modal[k - j, j] = k - 2 * j
+    for j in range(1, k // 2 + 1):
+        modal[j - 1, k - j] = k - 2 * j + 1
+        modal[j:k + 1 - j, k - j] = -1
+    return modal
 
 
 def check_majorization(values, dstar) -> bool:

@@ -13,7 +13,7 @@ import pytest
 
 from lapctrl import graph_to_json, gen_path
 from lapctrl.cli import build_parser, main
-from lapctrl.verify import SUITES
+from lapctrl.verify import DEFAULT_SEED, SUITES
 
 
 def run_cli(capsys, *argv):
@@ -297,12 +297,19 @@ class TestVerify:
         assert code == 0
         assert json.loads(out.strip().splitlines()[-1])["cases"] == 100
 
+    def test_bare_majorization_uses_the_library_seed(self, capsys):
+        _, bare, _ = run_cli(capsys, "verify", "majorization")
+        _, seeded, _ = run_cli(capsys, "verify", "majorization", "--seed", str(DEFAULT_SEED))
+        assert bare == seeded
+
     @pytest.mark.parametrize("option", ["--seed"])
     def test_majorization_options_rejected_for_other_suites(self, capsys, option):
-        code, out, err = run_cli(capsys, "verify", "cj", option, "3")
-        assert code == 2 and out == ""
-        assert err.startswith("error: verify cj takes no --seed; "
-                              "it applies to the majorization suite only")
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "cj", option, "3"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: {option}" in captured.err
 
     @pytest.mark.parametrize("argv", [["cj", "--random", "3"], ["majorization", "--maxk", "5"]],
                              ids=["random", "maxk"])
@@ -327,9 +334,8 @@ class TestVerify:
         assert code == 1
 
     def test_suite_choices_come_from_the_library(self):
-        verb = build_parser()._subparsers._group_actions[0].choices["verify"]
-        suite = next(a for a in verb._actions if a.dest == "suite")
-        assert suite.choices == list(SUITES)
+        verb = _subcommands(build_parser())["verify"]
+        assert list(_subcommands(verb)) == list(SUITES)
 
 
 # ---------------------------------------------------------------------------
@@ -365,6 +371,47 @@ class TestExport:
 
 
 # ---------------------------------------------------------------------------
+# order limit
+# ---------------------------------------------------------------------------
+
+class TestOrderLimit:
+    """Every path refuses order 1025 before building it, so a missing limit
+    fails here instead of exhausting memory."""
+
+    @pytest.mark.parametrize("verb", [["check", "--input", "1"], ["spectrum"], ["export"]],
+                             ids=["check", "spectrum", "export"])
+    def test_loaded_graph(self, capsys, tmp_path, verb):
+        f = tmp_path / "edgeless.json"
+        f.write_text('{"n": 1025, "edges": []}')
+        code, out, err = run_cli(capsys, verb[0], str(f), *verb[1:])
+        assert (code, out) == (2, "")
+        assert err == "error: graph order 1025 is above the CLI's limit of 1024\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "complete", "--k", "1025"],
+        ["gen", "threshold", "--creation", "J" * 1024],
+        ["chain", "--c", "5", "--k2", "205", "--links", "DDDD"],
+        ["chain", "--c", "1", "--k2", "1000", "--tail", "25"],
+    ], ids=["gen-complete", "gen-threshold", "chain", "chain-tail"])
+    def test_built_graph(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: graph order 1025 is above")
+
+    def test_composite_emission(self, capsys, tmp_path):
+        f = tmp_path / "p33.json"
+        f.write_text(graph_to_json(gen_path(33)))
+        code, out, err = run_cli(capsys, "compose", "--structure", str(f),
+                                 "--cell", str(f), "--s", "1")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: graph order 1089 is above")
+
+    def test_order_at_the_limit_is_accepted(self, capsys):
+        code, out, _ = run_cli(capsys, "gen", "path", "--k", "1024")
+        assert code == 0 and json.loads(out)["n"] == 1024
+
+
+# ---------------------------------------------------------------------------
 # parser surface and the README's examples
 # ---------------------------------------------------------------------------
 
@@ -381,8 +428,8 @@ def _options(parser):
 def test_each_verb_takes_only_its_own_options():
     verbs = _subcommands(build_parser())
     surface = {name: _options(p) for name, p in verbs.items() if name != "gen"}
-    surface.update({f"gen {name}": _options(p)
-                    for name, p in _subcommands(verbs["gen"]).items()})
+    surface.update({f"{verb} {name}": _options(p) for verb in ("gen", "verify")
+                    for name, p in _subcommands(verbs[verb]).items()})
     assert surface == {
         "gen path": ["--k", "--output", "-o"],
         "gen antiregular": ["--k", "--output", "-o"],
@@ -392,7 +439,9 @@ def test_each_verb_takes_only_its_own_options():
         "check": ["--expect", "--input", "--method", "--output", "-o"],
         "compose": ["--cell", "--output", "--predict", "--s", "--structure", "-o"],
         "chain": ["--c", "--k2", "--links", "--output", "--tail", "-o"],
-        "verify": ["--seed"],
+        "verify": [],
+        **{f"verify {suite}": [] for suite in SUITES if suite != "majorization"},
+        "verify majorization": ["--seed"],
         "export": ["--dot", "--output", "-o"],
     }
 
@@ -410,6 +459,18 @@ def test_readme_cli_examples_parse():
                 parser.parse_args(argv[1:])
                 commands.append(argv[1:])
     assert {argv[0] for argv in commands} == set(_subcommands(parser))
+
+
+def _readme_python_blocks():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return [part.split("```", 1)[0] for part in readme.split("```python\n")[1:]]
+
+
+@pytest.mark.parametrize("block", _readme_python_blocks(),
+                         ids=lambda block: block.splitlines()[0].split(" import ")[0])
+def test_readme_library_examples_run(block):
+    """Every ```python block of the README runs without error."""
+    exec(compile(block, "README.md", "exec"), {})
 
 
 def test_two_main_calls_build_one_parser(monkeypatch, capsys):

@@ -1,5 +1,7 @@
 """Composite graphs, path-split classes, and antiregular chains."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from lapctrl import (
     append_path,
     chain_antiregular,
     composite,
+    exact_verdict,
     gen_antiregular,
     gen_complete,
     gen_path,
@@ -287,3 +290,25 @@ class TestValidChainInput:
                 predicted = valid_chain_input(spec, b)
                 rank = kalman_rank_exact(L, np.array(b).reshape(-1, 1))
                 assert predicted == (rank == 8), (links, b)
+
+    def test_four_block_chains_match_exact_oracle(self):
+        # past the c <= 3 of criterion 6: every link word and every covered
+        # nonzero block-1 input of the four-block chains with k2 = 3..5
+        cases = uncontrollable = 0
+        for k2 in (3, 4, 5):
+            for links in itertools.product("DT", repeat=3):
+                spec = ChainSpec(c=4, k2=k2, links=links)
+                L = laplacian(chain_antiregular(spec))
+                for bits in itertools.product((0, 1), repeat=k2):
+                    if not any(bits):
+                        continue
+                    b = list(bits) + [0] * (3 * k2)
+                    try:
+                        predicted = valid_chain_input(spec, b)
+                    except OutOfSupport:
+                        continue
+                    verdict = exact_verdict(L, b)
+                    assert predicted == verdict.controllable, (k2, links, bits)
+                    cases += 1
+                    uncontrollable += not verdict.controllable
+        assert (cases, uncontrollable) == (312, 146)

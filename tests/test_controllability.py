@@ -2,6 +2,7 @@
 
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -123,6 +124,20 @@ class TestInputVector:
         for decide in deciders:
             with pytest.raises(ValueError, match="6x1 column"):
                 decide(L, B)
+
+    def test_complex_input_is_rejected(self):
+        # a cast to int64 keeps only the real part, with only a ComplexWarning,
+        # so [1+7j, 0, 0] would be decided as e_1
+        L = laplacian(gen_path(3))
+        b = np.array([1 + 7j, 0, 0])
+        chain = ChainSpec(c=2, k2=3, links=("D",))
+        deciders = [pbh_verdict, kalman_rank_exact, gramian_check,
+                    lambda _, b: valid_chain_input(chain, np.concatenate([b, [0, 0, 0]]))]
+        for decide in deciders:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="input entries must be 0 or 1"):
+                    decide(L, b)
 
     def test_flat_input_decides_like_its_column(self):
         for g in (gen_path(5), gen_antiregular(6), gen_complete(4)):
@@ -267,6 +282,18 @@ class TestPBH:
         for decide in (pbh_verdict, kalman_rank_exact, gramian_check):
             with pytest.raises(ValueError, match="non-finite entries"):
                 decide(L, _ev(4, 1))
+
+    def test_complex_matrix_is_rejected(self):
+        # a cast to float drops the imaginary part with only a ComplexWarning:
+        # L(P3) with +5j at [0, 0] would be decided as P3
+        L = laplacian(gen_path(3)).astype(complex)
+        L[0, 0] += 5j
+        for decide in (lambda L, b: eig_sym(L), pbh_verdict, kalman_rank_exact,
+                       gramian_check):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="matrix must be real"):
+                    decide(L, _ev(3, 1))
 
     def test_known_false_negatives_on_six_block_chains(self):
         # Known-false pin: these chains of six AR6 blocks are controllable at
@@ -488,6 +515,10 @@ class TestControllableVertices:
 
     def test_complete3_empty(self):
         assert controllable_vertices(gen_complete(3)) == set()
+
+    def test_disconnected_graph_is_rejected(self):
+        with pytest.raises(ValueError, match="connected graph"):
+            controllable_vertices(Graph(3, [(1, 2)]))
 
     def test_matches_exact_oracle(self):
         rng = random.Random(5)

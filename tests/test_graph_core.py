@@ -56,6 +56,12 @@ class TestGraph:
         with pytest.raises(ValueError):
             Graph(0, frozenset())
 
+    def test_edge_list_becomes_a_frozenset(self):
+        g = Graph(3, [(1, 2)])
+        assert isinstance(g.edges, frozenset)
+        assert g == Graph(3, frozenset({(1, 2)}))
+        assert hash(g) == hash(Graph(3, frozenset({(1, 2)})))
+
     def test_neighbors_and_degrees(self):
         g = Graph.from_edges(4, [(1, 2), (2, 3), (2, 4)])
         assert g.degrees() == [1, 3, 1, 1]
@@ -74,6 +80,18 @@ class TestGenerators:
     def test_path_rejects_empty(self):
         with pytest.raises(ValueError):
             gen_path(0)
+
+    def test_complete_rejects_empty(self):
+        with pytest.raises(ValueError, match="at least one vertex"):
+            gen_complete(0)
+
+    def test_antiregular_rejects_a_single_vertex(self):
+        with pytest.raises(ValueError, match="at least two vertices"):
+            gen_antiregular(1)
+
+    def test_random_connected_graph_rejects_empty(self):
+        with pytest.raises(ValueError, match="at least one vertex"):
+            random_connected_graph(0, random.Random(0))
 
     @pytest.mark.parametrize("k", range(2, 10))
     def test_antiregular_adjacency_rule(self, k):
@@ -243,7 +261,8 @@ class TestSerialization:
 
     def test_json_rejects_malformed(self):
         for bad in ["not json", "[]", '{"n": 2}', '{"n": "2", "edges": []}',
-                    '{"n": 2, "edges": [[1, 2, 3]]}', '{"n": 2, "edges": [[1, true]]}']:
+                    '{"n": 2, "edges": {"1": 2}}', '{"n": 2, "edges": [[1, 2, 3]]}',
+                    '{"n": 2, "edges": [[1, true]]}']:
             with pytest.raises(ValueError):
                 graph_from_json(bad)
 

@@ -166,6 +166,10 @@ class TestAntiregularSpectrum:
         dec = eig_sym(laplacian(gen_antiregular(k)))
         assert np.allclose(dec.values, antiregular_spectrum(k), atol=1e-8)
 
+    def test_rejects_a_single_vertex(self):
+        with pytest.raises(ValueError, match="at least two vertices"):
+            antiregular_spectrum(1)
+
     def test_skipped_value(self):
         assert antiregular_spectrum(5) == [0, 1, 2, 4, 5]   # skips 3
         assert antiregular_spectrum(6) == [0, 1, 2, 4, 5, 6]
@@ -204,6 +208,31 @@ class TestAntiregularModal:
         for k in range(2, 10):
             M = antiregular_modal(k)
             assert np.all(np.any(M != 0, axis=0))
+
+    @pytest.mark.parametrize("k", [*range(2, 61), 300])
+    def test_closed_form_matches_the_laplacian_construction(self, k):
+        reference = _antiregular_modal_from_laplacian(k)
+        M = antiregular_modal(k)
+        assert M.dtype == reference.dtype and np.array_equal(M, reference)
+
+    def test_rejects_a_single_vertex(self):
+        with pytest.raises(ValueError, match="at least two vertices"):
+            antiregular_modal(1)
+
+
+def _antiregular_modal_from_laplacian(k):
+    """The eigenvector table built from the Laplacian: replace each strictly
+    upper-triangular entry x by -1-x, reset the diagonal so every column sums
+    to zero, drop the one zero column, reverse the rest (largest eigenvalue
+    last) and prepend the all-ones column."""
+    t1 = laplacian(gen_antiregular(k))
+    upper = np.triu(np.ones((k, k), dtype=bool), 1)
+    t2 = np.where(upper, -1 - t1, t1)
+    np.fill_diagonal(t2, -(t2.sum(axis=0) - np.diag(t2)))
+    zero_cols = np.flatnonzero(~t2.any(axis=0))
+    assert len(zero_cols) == 1, (k, zero_cols)
+    kept = np.delete(t2, zero_cols[0], axis=1)
+    return np.concatenate([np.ones((k, 1), dtype=np.int64), kept[:, ::-1]], axis=1)
 
 
 # ---------------------------------------------------------------------------
