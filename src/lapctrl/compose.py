@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph_core import Graph, gen_antiregular, is_connected, laplacian
+from .graph_core import Graph, _label, gen_antiregular, is_connected, laplacian
 from .controllability import Verdict, _as_control, exact_verdict, input_vector
-from .spectral import antiregular_spectrum, default_gtol, eig_sym
+from .spectral import default_gtol, eig_sym
 
 __all__ = [
     "HypothesisNotMet",
@@ -200,12 +200,12 @@ def valid_chain_input(spec: ChainSpec, b) -> bool:
     annihilates an input with a set first entry exactly when the eigenvalue
     equals the input's popcount. With small blocks the chain spectrum can
     actually contain that integer: a 6-vertex path arises as a two-vertex
-    chain with mixed junctions and has eigenvalues 1 and 2. The predicate
-    therefore also requires, when the first entry of b is 1, that no chain
-    eigenvalue matches popcount(b) outside the block spectrum. The one
-    exception is a two-vertex block whose first junction leaves from the
-    terminal vertex: there the pattern above degenerates (its first two
-    entries need not be proportional to (1-m) and 1), the screen would
+    chain with mixed junctions and has eigenvalues 1 and 2. The block
+    spectrum is 0..k2 without kappa, so the predicate also requires, only
+    when b_1 = 1 and popcount(b) = kappa, that kappa is no chain eigenvalue.
+    The one exception is a two-vertex block whose first junction leaves
+    from the terminal vertex: there the pattern above degenerates (its first
+    two entries need not be proportional to (1-m) and 1), the screen would
     misfire, and the base condition alone is the correct test.
     """
     as_int = _as_control(b, spec.c * spec.k2)
@@ -220,13 +220,10 @@ def valid_chain_input(spec: ChainSpec, b) -> bool:
     if int(block1[kap - 1]) + int(block1[kap]) != 1:
         return False
     screened = spec.c > 1 and not (spec.k2 == 2 and spec.links[0] == "T")
-    if block1[0] and screened:
-        ones = int(block1.sum())
-        if ones not in antiregular_spectrum(spec.k2):
-            dec = eig_sym(laplacian(chain_antiregular(spec)))
-            gtol = default_gtol(dec.values)
-            if bool(np.any(np.abs(dec.values - ones) <= gtol)):
-                return False
+    if screened and block1[0] and block1.sum() == kap:
+        dec = eig_sym(laplacian(chain_antiregular(spec)))
+        if np.any(np.abs(dec.values - kap) <= default_gtol(dec.values)):
+            return False
     return True
 
 
@@ -236,7 +233,7 @@ def append_path(g: Graph, v: int, m: int) -> Graph:
     Path vertices take indices |g|+1 .. |g|+m, nearest first, so the far end
     of the path is the last vertex. m = 0 returns g unchanged.
     """
-    if not 1 <= v <= g.n:
+    if not 1 <= _label(v) <= g.n:
         raise ValueError(f"vertex {v} out of range 1..{g.n}")
     if m < 0:
         raise ValueError("path length must be nonnegative")

@@ -24,8 +24,9 @@ from typing import Iterable
 
 import numpy as np
 
-from .graph_core import Graph, is_connected, laplacian
-from .spectral import _check_square, _check_symmetric, _fix_signs, eig_sym, eigenspaces
+from .graph_core import Graph, _label, is_connected, laplacian
+from .spectral import (_REAL_KINDS, _check_square, _check_symmetric, _fix_signs, eig_sym,
+                       eigenspaces)
 
 __all__ = [
     "Verdict",
@@ -65,13 +66,11 @@ class Verdict:
 def input_vector(n: int, vertices: Iterable[int]) -> np.ndarray:
     """Binary n-by-1 input column for one input wired to the given vertices."""
     b = np.zeros((n, 1), dtype=np.int64)
-    hit = False
-    for v in vertices:
+    for v in map(_label, vertices):
         if not 1 <= v <= n:
             raise ValueError(f"input vertex {v} out of range 1..{n}")
         b[v - 1, 0] = 1
-        hit = True
-    if not hit:
+    if not b.any():
         raise ValueError("an input must attach to at least one vertex")
     return b
 
@@ -83,15 +82,11 @@ def _as_control(b, n: int) -> np.ndarray:
         raise ValueError(f"input must be a length-{n} vector or an {n}x1 column, "
                          f"got shape {mat.shape}")
     mat = mat.reshape(n)
-    if mat.dtype.kind == "c":
+    if mat.dtype.kind not in _REAL_KINDS or not ((mat == 0) | (mat == 1)).all():
         raise ValueError("input entries must be 0 or 1")
-    as_int = mat.astype(np.int64)
-    integral = (np.asarray(mat, dtype=float) == as_int).all()
-    if not integral or not ((as_int == 0) | (as_int == 1)).all():
-        raise ValueError("input entries must be 0 or 1")
-    if not as_int.any():
+    if not mat.any():
         raise ValueError("input must have at least one nonzero entry")
-    return as_int
+    return mat.astype(np.int64)
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,13 @@ __all__ = [
 ]
 
 
+def _label(x) -> int:
+    """A vertex label as a Python int; bool, float and str are a ValueError."""
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+        raise ValueError(f"vertex labels must be integers, got {x!r}")
+    return int(x)
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph on vertices 1..n with canonical (u < v) edges."""
@@ -45,13 +52,13 @@ class Graph:
     edges: frozenset[tuple[int, int]]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
+        if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 1:
             raise ValueError(f"vertex count must be a positive integer, got {self.n!r}")
         if not isinstance(self.edges, frozenset):
             object.__setattr__(self, "edges", frozenset(self.edges))
         for u, v in self.edges:
-            if not (isinstance(u, int) and isinstance(v, int) and 1 <= u < v <= self.n):
-                raise ValueError(f"edge ({u}, {v}) is not canonical for n={self.n}")
+            if not (type(u) is int and type(v) is int and 1 <= u < v <= self.n):
+                raise ValueError(f"edge {(u, v)!r} is not canonical for n={self.n}")
 
     @classmethod
     def from_edges(cls, n: int, pairs: Iterable[Sequence[int]]) -> "Graph":
@@ -61,7 +68,7 @@ class Graph:
         """
         canon = set()
         for u, v in pairs:
-            u, v = int(u), int(v)
+            u, v = _label(u), _label(v)
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             canon.add((v, u) if u > v else (u, v))
@@ -267,12 +274,10 @@ def graph_from_json(text: str) -> Graph:
         raise ValueError('"n" must be an integer')
     if not isinstance(edges, list):
         raise ValueError('"edges" must be a list of [u, v] pairs')
-    pairs = []
     for e in edges:
-        if not (isinstance(e, list) and len(e) == 2 and all(isinstance(x, int) and not isinstance(x, bool) for x in e)):
+        if not (isinstance(e, list) and len(e) == 2):
             raise ValueError(f"malformed edge entry {e!r}")
-        pairs.append((e[0], e[1]))
-    return Graph.from_edges(n, pairs)
+    return Graph.from_edges(n, edges)
 
 
 def graph_to_dot(g: Graph) -> str:

@@ -32,6 +32,7 @@ __all__ = [
 
 _MAJORIZATION_TOL = 1e-8  # times the sequence length
 _RESIDUAL_TOL = 1e-8  # eigen-residual bound, times the max row sum of |m|
+_REAL_KINDS = "biuf"  # numpy dtype kinds of bool, int, uint and float arrays
 
 
 class ConvergenceError(RuntimeError):
@@ -64,13 +65,11 @@ def _fix_signs(v: np.ndarray) -> np.ndarray:
 
 def _check_square(m) -> np.ndarray:
     mat = np.asarray(m)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    if mat.size == 0:
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or not mat.size:
         raise ValueError(f"expected a nonempty square matrix, got shape {mat.shape}")
-    if mat.dtype.kind == "c":
+    if mat.dtype.kind not in _REAL_KINDS:
         raise ValueError("matrix must be real")
-    if mat.dtype.kind == "f" and not np.isfinite(mat).all():
+    if not np.isfinite(mat).all():
         raise ValueError("matrix has non-finite entries")
     return mat
 
@@ -114,22 +113,14 @@ def default_gtol(values: np.ndarray) -> float:
 def eigenspaces(dec: EigDecomp) -> list[Eigenspace]:
     """Cluster a decomposition into eigenspaces by adjacent-gap grouping.
 
-    Values whose consecutive gaps are <= default_gtol share a cluster; each
-    cluster's basis is its slice of the modal matrix, whose columns LAPACK
-    already returns orthonormal, so no re-orthonormalization is done.
+    Values whose consecutive gaps are <= default_gtol share a cluster; the
+    ends count as infinite gaps. Each cluster's basis is its slice of the
+    modal matrix, whose columns LAPACK already returns orthonormal.
     """
-    gtol = default_gtol(dec.values)
-    spaces: list[Eigenspace] = []
-    k = len(dec.values)
-    lo = 0
-    while lo < k:
-        hi = lo + 1
-        while hi < k and dec.values[hi] - dec.values[hi - 1] <= gtol:
-            hi += 1
-        spaces.append(Eigenspace(value=float(np.mean(dec.values[lo:hi])),
-                                 basis=dec.modal[:, lo:hi]))
-        lo = hi
-    return spaces
+    values = dec.values
+    cuts = np.flatnonzero(np.diff(values, prepend=-np.inf, append=np.inf) > default_gtol(values))
+    return [Eigenspace(value=float(np.mean(values[lo:hi])), basis=dec.modal[:, lo:hi])
+            for lo, hi in zip(cuts, cuts[1:])]
 
 
 def antiregular_spectrum(k: int) -> list[int]:

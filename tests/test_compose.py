@@ -218,6 +218,13 @@ class TestAppendPath:
         with pytest.raises(ValueError):
             append_path(gen_path(2), 1, -1)
 
+    def test_non_integer_vertex_is_rejected(self):
+        # a cast would attach the path at int(1.5) = 1
+        with pytest.raises(ValueError, match="1.5"):
+            append_path(gen_path(3), 1.5, 2)
+        with pytest.raises(ValueError, match="'1'"):
+            append_path(gen_path(3), "1", 2)
+
 
 # ---------------------------------------------------------------------------
 # chain input predicate

@@ -150,6 +150,106 @@ class TestInputVector:
                 assert pbh_verdict(L, flat).controllable == pbh_verdict(L, col).controllable
                 assert gramian_check(L, flat) == gramian_check(L, col)
 
+    def test_non_integer_vertex_is_rejected(self):
+        # a label is checked before it indexes b: b[2.0 - 1, 0] is an IndexError
+        with pytest.raises(ValueError, match="2.0"):
+            input_vector(3, [2.0])
+        with pytest.raises(ValueError, match="True"):
+            input_vector(3, [True])
+        assert np.array_equal(input_vector(3, [np.int64(2)]), _ev(3, 2))
+
+
+# ---------------------------------------------------------------------------
+# the dtype rule: L and b are bool, integer or float arrays, nothing else
+# ---------------------------------------------------------------------------
+
+def _outcome(result):
+    """Everything a decider decided, as plain comparable values and bytes."""
+    if isinstance(result, Verdict):
+        witness = None if result.witness is None else result.witness.tobytes()
+        return (result.controllable, result.method, result.rank, witness,
+                result.witness_value, result.min_eigenvalue)
+    if hasattr(result, "modal"):
+        return result.values.tobytes(), result.modal.tobytes()
+    return result
+
+
+_MATRIX_DECIDERS = {
+    "eig_sym": lambda L, b: eig_sym(L),
+    "pbh_verdict": pbh_verdict,
+    "kalman_rank_exact": kalman_rank_exact,
+    "exact_verdict": exact_verdict,
+    "gramian_check": gramian_check,
+}
+_INPUT_DECIDERS = {
+    **{name: decide for name, decide in _MATRIX_DECIDERS.items() if name != "eig_sym"},
+    "valid_chain_input": lambda L, b: valid_chain_input(ChainSpec(c=1, k2=len(L)), b),
+}
+_ACCEPTED = [np.bool_, np.int8, np.int32, np.uint8, np.uint64, np.float32, np.float64]
+_BAD_MATRICES = {
+    "object complex": [[1, -1], [-1, 1 + 0j]],
+    "object big int": [[2**64, -2**64], [-2**64, 2**64]],
+    "object nan": [[1, math.nan], [math.nan, 1]],
+    "object inf": [[math.inf, -1], [-1, 1]],
+    "str": np.array([["1", "-1"], ["-1", "1"]]),
+    "bytes": np.array([[b"1", b"-1"], [b"-1", b"1"]]),
+}
+_BAD_INPUTS = {
+    "object complex": [1 + 2j, 0],
+    "object big int": [2**64, 0],
+    "object nan": [math.nan, 1],
+    "object inf": [math.inf, 1],
+    "str": np.array(["1", "0"]),
+    "bytes": np.array([b"1", b"0"]),
+}
+
+
+def _as_array(bad):
+    return bad if isinstance(bad, np.ndarray) else np.array(bad, dtype=object)
+
+
+class TestDtypeRule:
+    @pytest.mark.parametrize("dtype", _ACCEPTED, ids=lambda t: t.__name__)
+    @pytest.mark.parametrize("name", _MATRIX_DECIDERS)
+    def test_accepted_matrix_kinds_decide_like_int64(self, name, dtype):
+        # a Laplacian, a signless Laplacian and an adjacency matrix, each
+        # where the dtype holds it exactly (bool holds only the last)
+        decide, checked = _MATRIX_DECIDERS[name], 0
+        for g in (gen_path(4), random_connected_graph(7, random.Random(3))):
+            L = laplacian(g)
+            D = np.diag(np.diag(L))
+            for m in (L, 2 * D - L, D - L):
+                if not np.array_equal(m.astype(dtype), m):
+                    continue
+                for v in range(1, g.n + 1):
+                    b = _ev(g.n, v)
+                    assert _outcome(decide(m.astype(dtype), b)) == _outcome(decide(m, b))
+                    checked += 1
+        assert checked > 0
+
+    @pytest.mark.parametrize("dtype", _ACCEPTED, ids=lambda t: t.__name__)
+    @pytest.mark.parametrize("name", _INPUT_DECIDERS)
+    def test_accepted_input_kinds_decide_like_int64(self, name, dtype):
+        decide = _INPUT_DECIDERS[name]
+        L = laplacian(gen_antiregular(5))
+        for vertices in ([1], [3], [4], [1, 3], [1, 2, 4, 5]):
+            b = _ev(5, *vertices)[:, 0]
+            assert _outcome(decide(L, b.astype(dtype))) == _outcome(decide(L, b))
+
+    @pytest.mark.parametrize("kind", _BAD_MATRICES)
+    @pytest.mark.parametrize("name", _MATRIX_DECIDERS)
+    def test_matrix_of_rejected_kind(self, name, kind):
+        # one ValueError for every other kind: no TypeError or OverflowError
+        # from a cast, no "not symmetric" for NaN, and no parsing of text
+        with pytest.raises(ValueError, match="matrix must be real"):
+            _MATRIX_DECIDERS[name](_as_array(_BAD_MATRICES[kind]), np.array([1, 0]))
+
+    @pytest.mark.parametrize("kind", _BAD_INPUTS)
+    @pytest.mark.parametrize("name", _INPUT_DECIDERS)
+    def test_input_of_rejected_kind(self, name, kind):
+        with pytest.raises(ValueError, match="input entries must be 0 or 1"):
+            _INPUT_DECIDERS[name](laplacian(gen_path(2)), _as_array(_BAD_INPUTS[kind]))
+
 
 # ---------------------------------------------------------------------------
 # PBH eigenvector test

@@ -56,6 +56,24 @@ class TestGraph:
         with pytest.raises(ValueError):
             Graph(0, frozenset())
 
+    def test_non_integer_labels_are_rejected(self):
+        # labels are checked, never cast: int() turns both "1" and 1.5 into 1
+        for pair, shown in [(("1", "2"), "'1'"), ((1.5, 2), "1.5"), ((True, 2), "True"),
+                            ((2, "1"), "'1'")]:
+            with pytest.raises(ValueError, match=shown):
+                Graph.from_edges(3, [pair])
+
+    def test_bool_vertex_count_and_edge_are_rejected(self):
+        with pytest.raises(ValueError, match="True"):
+            Graph(True, frozenset())
+        with pytest.raises(ValueError, match="True"):
+            Graph(2, frozenset({(True, 2)}))
+
+    def test_numpy_integer_labels_become_python_ints(self):
+        g = Graph.from_edges(3, [(np.int64(2), np.uint8(1))])
+        assert g.edges == {(1, 2)}
+        assert all(type(x) is int for e in g.edges for x in e)
+
     def test_edge_list_becomes_a_frozenset(self):
         g = Graph(3, [(1, 2)])
         assert isinstance(g.edges, frozenset)
