@@ -18,12 +18,13 @@ from, and the block-1 input predicate for chains.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graph_core import Graph, _label, gen_antiregular, is_connected, laplacian
+from .graph_core import Graph, _integer, gen_antiregular, is_connected, laplacian
 from .controllability import Verdict, _as_control, exact_verdict, input_vector
 from .spectral import default_gtol, eig_sym
 
@@ -62,7 +63,7 @@ class CompositeSpec:
     s: int
 
     def __post_init__(self) -> None:
-        if not 1 <= self.s <= self.cell.n:
+        if not 1 <= _integer(self.s) <= self.cell.n:
             raise ValueError(f"composite vertex {self.s} out of range 1..{self.cell.n}")
         if not is_connected(self.structure) or not is_connected(self.cell):
             raise ValueError("structure and cell must both be connected")
@@ -86,6 +87,12 @@ def composite(spec: CompositeSpec) -> Graph:
     return Graph.from_edges(k1 * k2, edges)
 
 
+@functools.lru_cache(maxsize=64)
+def _exact_at(g: Graph, v: int) -> Verdict:
+    """The exact verdict for g driven at vertex v, remembered per graph."""
+    return exact_verdict(laplacian(g), input_vector(g.n, [v]))
+
+
 def predict_composite(spec: CompositeSpec, w: int) -> Verdict:
     """Theorem-based verdict for the composite driven at copy w's vertex s.
 
@@ -93,16 +100,18 @@ def predict_composite(spec: CompositeSpec, w: int) -> Verdict:
     exact oracle; HypothesisNotMet otherwise). Given that, the composite is
     controllable at input index (w-1)k2+s exactly when the structure is
     controllable at w, so the verdict is the structure's own, relabeled.
+    Both premises are exact verdicts memoized per (graph, vertex), so a
+    sweep over w decides the cell once and each structure vertex once.
     """
     k1, k2 = spec.structure.n, spec.cell.n
-    if not 1 <= w <= k1:
+    if not 1 <= _integer(w) <= k1:
         raise ValueError(f"structure vertex {w} out of range 1..{k1}")
-    cell = exact_verdict(laplacian(spec.cell), input_vector(k2, [spec.s]))
+    cell = _exact_at(spec.cell, spec.s)
     if not cell.controllable:
         raise HypothesisNotMet(
             f"cell is not single-input controllable at vertex {spec.s} "
             f"(Kalman rank {cell.rank} of {k2})")
-    structure = exact_verdict(laplacian(spec.structure), input_vector(k1, [w]))
+    structure = _exact_at(spec.structure, w)
     return Verdict(controllable=structure.controllable, method="exact",
                    input_vertex=(w - 1) * k2 + spec.s)
 
@@ -139,6 +148,8 @@ class ChainSpec:
     links: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "c", _integer(self.c, "block counts"))
+        object.__setattr__(self, "k2", _integer(self.k2, "block orders"))
         if self.c < 1:
             raise ValueError("chain needs at least one block")
         if self.k2 < 2:
@@ -233,8 +244,9 @@ def append_path(g: Graph, v: int, m: int) -> Graph:
     Path vertices take indices |g|+1 .. |g|+m, nearest first, so the far end
     of the path is the last vertex. m = 0 returns g unchanged.
     """
-    if not 1 <= _label(v) <= g.n:
+    if not 1 <= _integer(v) <= g.n:
         raise ValueError(f"vertex {v} out of range 1..{g.n}")
+    m = _integer(m, "path lengths")
     if m < 0:
         raise ValueError("path length must be nonnegative")
     if m == 0:

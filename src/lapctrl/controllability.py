@@ -24,7 +24,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .graph_core import Graph, _label, is_connected, laplacian
+from .graph_core import Graph, _integer, is_connected, laplacian
 from .spectral import (_REAL_KINDS, _check_square, _check_symmetric, _fix_signs, eig_sym,
                        eigenspaces)
 
@@ -66,7 +66,7 @@ class Verdict:
 def input_vector(n: int, vertices: Iterable[int]) -> np.ndarray:
     """Binary n-by-1 input column for one input wired to the given vertices."""
     b = np.zeros((n, 1), dtype=np.int64)
-    for v in map(_label, vertices):
+    for v in map(_integer, vertices):
         if not 1 <= v <= n:
             raise ValueError(f"input vertex {v} out of range 1..{n}")
         b[v - 1, 0] = 1
@@ -139,35 +139,53 @@ def _prime(i: int) -> int:
     return p
 
 
+_FIRST_BLOCK = 16  # Krylov rows built before the first elimination step
+
+
 def _krylov_mod(L: np.ndarray, b: np.ndarray, p: int) -> tuple[int, list[int] | None]:
     """Krylov rank r of (L, b) over GF(p), for L with entries in [0, p).
 
-    The pivot rows are one reduced-echelon matrix, so a new vector is
-    reduced by one vector-matrix product and a new pivot clears its column
-    by one rank-1 update. Each row carries n more columns, the coefficients
-    of the polynomial f with row = f(L) b. When r < n, the vector that
-    reduces to zero yields the monic q_p of degree r with q_p(L) b = 0 mod p,
-    returned as its coefficients, constant first; at r = n that is None.
+    The rows L^k b are built one mat-vec at a time, in blocks that double
+    in size from _FIRST_BLOCK, so a pair of rank r builds O(r) rows. Each
+    row carries n more columns, the coefficients of the polynomial f with
+    row = f(L) b, starting as the unit vector e_k. Elimination is eager
+    Gauss-Jordan: a new pivot clears its column from every other built row
+    by one rank-1 update, and a new block is reduced by all earlier pivot
+    rows in one product. Only the pivot row and the multiplier column are
+    reduced mod p at each step (delayed reduction, as in FFLAS), so every
+    other entry stays below n * 2^42 + p in int64. When r < n, the row that
+    reduces to zero is q_p(L) b for the monic q_p of degree r with
+    q_p(L) b = 0 mod p, returned as its coefficients, constant first; at
+    r = n that is None.
     """
     n = len(b)
     rows = np.zeros((n, 2 * n), dtype=np.int64)
     pivots = np.zeros(n, dtype=np.intp)
-    v = np.zeros(2 * n, dtype=np.int64)
-    v[:n], v[n] = b, 1
-    for r in range(n):
-        v -= v[pivots[:r]] @ rows[:r]
-        v %= p
-        nonzero = v[:n].nonzero()[0]
-        if not len(nonzero):
-            return r, (v[n:n + r + 1] * pow(int(v[n + r]), -1, p) % p).tolist()
-        pos = pivots[r] = nonzero[0]
-        v *= pow(int(v[pos]), -1, p)
-        v %= p
-        rows[:r] -= rows[:r, pos, None] * v
-        rows[:r] %= p
-        rows[r] = v
-        v = np.concatenate([L @ v[:n] % p, [0], v[n:-1]])
-    return n, None
+    inverses = np.zeros(n, dtype=np.int64)
+    v = b
+    start, end = 0, min(n, _FIRST_BLOCK)
+    while True:
+        for k in range(start, end):
+            rows[k, :n] = v
+            rows[k, n + k] = 1
+            v = L @ v % p
+        if start:
+            rows[:start] %= p
+            block = rows[start:end]
+            block -= (block[:, pivots[:start]] * inverses[:start] % p) @ rows[:start]
+        for r in range(start, end):
+            row = rows[r]
+            row %= p
+            pos = pivots[r] = row[:n].argmax()
+            if not row[pos]:
+                return r, row[n:n + r + 1].tolist()
+            inv = inverses[r] = pow(int(row[pos]), -1, p)
+            multipliers = rows[:end, pos] % p * inv % p
+            multipliers[r] = 0
+            rows[:end] -= np.multiply.outer(multipliers, row)
+        if end == n:
+            return n, None
+        start, end = end, min(n, 2 * end)
 
 
 def kalman_rank_exact(L, B) -> int:
@@ -179,17 +197,23 @@ def kalman_rank_exact(L, B) -> int:
     so a rank of n mod any prime returns n at once. Upper bound: the
     primes that reach the largest residue rank r each give the monic q_p
     of degree r with q_p(L) b = 0 mod p; their product M combines them by
-    CRT into one q with symmetric residues, and q(L) b = 0 mod M. With R
-    the largest absolute row sum of L, every entry of q(L) b is at most
-    sum_k |q_k| R^k in size, so once M exceeds twice that bound q(L) b = 0
-    over the integers and the rank is at most r. Until then another prime
-    joins; a prime with a higher rank restarts the combination.
+    CRT into one q with symmetric residues, and q(L) b = 0 mod M. Any monic
+    integer q of degree r with q(L) b = 0 over the integers shows that the
+    rank is at most r. With R the largest absolute row sum of L, every
+    entry of q(L) b is at most bound = sum_k |q_k| R^k in size, so once M
+    exceeds twice that bound q(L) b = 0 over the integers. Below that,
+    while the bound is under 2^62, q(L) b is computed exactly by Horner's
+    rule in int64, so one prime suffices whenever q's coefficients are
+    below half of it. Otherwise another prime joins; a prime with a higher
+    rank restarts the combination.
     """
     Lmat = _check_square(L)
     n = Lmat.shape[0]
-    as_int = Lmat.astype(np.int64)
-    if not (np.asarray(Lmat, dtype=float) == as_int).all():
+    if Lmat.dtype.kind == "f" and not (Lmat == np.trunc(Lmat)).all():
         raise ValueError("exact rank needs an integer matrix")
+    if not -2**63 <= int(Lmat.min()) <= int(Lmat.max()) < 2**63:
+        raise ValueError("exact rank needs an integer matrix with entries in the int64 range")
+    as_int = Lmat.astype(np.int64)
     b = _as_control(B, n)
 
     best, coeffs, modulus, row_sum = 0, [], 1, None
@@ -207,11 +231,18 @@ def kalman_rank_exact(L, B) -> int:
         modulus *= p
         if row_sum is None:
             row_sum = int(abs(as_int.astype(object)).sum(axis=1).max())
+        lifted = [c if 2 * c < modulus else c - modulus for c in coeffs]
         bound = 0
-        for c in reversed(coeffs):
-            bound = bound * row_sum + min(c, modulus - c)
+        for c in reversed(lifted):
+            bound = bound * row_sum + abs(c)
         if modulus > 2 * bound:
             return rank
+        if bound < 2**62:
+            v = b  # Horner's rule; every partial sum is at most bound in size
+            for c in reversed(lifted[:-1]):
+                v = as_int @ v + c * b
+            if not v.any():
+                return rank
 
 
 def exact_verdict(L, B) -> Verdict:

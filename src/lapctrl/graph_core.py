@@ -37,10 +37,11 @@ __all__ = [
 ]
 
 
-def _label(x) -> int:
-    """A vertex label as a Python int; bool, float and str are a ValueError."""
+def _integer(x, what: str = "vertex labels") -> int:
+    """A vertex label, order or count as a Python int; bool, float and str
+    are a ValueError that names what x is."""
     if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
-        raise ValueError(f"vertex labels must be integers, got {x!r}")
+        raise ValueError(f"{what} must be integers, got {x!r}")
     return int(x)
 
 
@@ -68,7 +69,7 @@ class Graph:
         """
         canon = set()
         for u, v in pairs:
-            u, v = _label(u), _label(v)
+            u, v = _integer(u), _integer(v)
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             canon.add((v, u) if u > v else (u, v))
@@ -112,6 +113,7 @@ def _as_degseq(d) -> DegreeSequence:
 
 def gen_path(k: int) -> Graph:
     """Path on k >= 1 vertices with edges {i, i+1}."""
+    k = _integer(k, "orders")
     if k < 1:
         raise ValueError("path needs at least one vertex")
     return Graph(k, frozenset((i, i + 1) for i in range(1, k)))
@@ -125,6 +127,7 @@ def gen_antiregular(k: int) -> Graph:
     (degree k-1), vertex k is terminal (degree 1), and the single repeated
     degree value floor(k/2) sits at positions ceil(k/2) and ceil(k/2) + 1.
     """
+    k = _integer(k, "orders")
     if k < 2:
         raise ValueError("antiregular graphs need at least two vertices")
     edges = [(i, j) for i in range(1, k + 1) for j in range(i + 1, k + 1) if i + j <= k + 1]
@@ -158,6 +161,7 @@ def gen_threshold(creation) -> Graph:
 
 def gen_complete(k: int) -> Graph:
     """Complete graph on k >= 1 vertices."""
+    k = _integer(k, "orders")
     if k < 1:
         raise ValueError("complete graph needs at least one vertex")
     return Graph(k, frozenset((i, j) for i in range(1, k + 1) for j in range(i + 1, k + 1)))
@@ -165,6 +169,7 @@ def gen_complete(k: int) -> Graph:
 
 def random_connected_graph(k: int, rng: random.Random) -> Graph:
     """Random connected graph: a random attachment tree plus Bernoulli(0.3) extras."""
+    k = _integer(k, "orders")
     if k < 1:
         raise ValueError("graph needs at least one vertex")
     edges = set()

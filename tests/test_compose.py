@@ -1,6 +1,7 @@
 """Composite graphs, path-split classes, and antiregular chains."""
 
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from lapctrl import (
     laplacian,
     path_split_controllable,
     predict_composite,
+    random_connected_graph,
     valid_chain_input,
 )
 
@@ -78,6 +80,26 @@ class TestComposite:
         spec = CompositeSpec(structure=gen_path(2), cell=gen_path(2), s=1)
         with pytest.raises(ValueError):
             predict_composite(spec, 3)
+
+    def test_premises_are_decided_once_per_graph_and_vertex(self, monkeypatch):
+        import lapctrl.compose as compose
+        spec = CompositeSpec(structure=gen_antiregular(7), cell=gen_antiregular(5), s=3)
+        decided = []
+
+        def counting(L, B):
+            decided.append((len(L), int(np.flatnonzero(B)[0]) + 1))
+            return exact_verdict(L, B)
+
+        compose._exact_at.cache_clear()
+        monkeypatch.setattr(compose, "exact_verdict", counting)
+        for _ in range(2):
+            verdicts = [predict_composite(spec, w) for w in range(1, 8)]
+        # the cell at s once, then each structure vertex once
+        assert decided == [(5, 3)] + [(7, w) for w in range(1, 8)]
+        L = laplacian(spec.structure)
+        assert [v.controllable for v in verdicts] == [
+            exact_verdict(L, input_vector(7, [w])).controllable for w in range(1, 8)]
+        compose._exact_at.cache_clear()
 
 
 def gen_threshold_like_disconnected():
@@ -200,6 +222,26 @@ class TestChainGraph:
         g = append_path(chain_antiregular(spec), spec.kappa, 2)
         assert g.n == 7
         assert (3, 6) in g.edges and (6, 7) in g.edges
+
+
+@pytest.mark.parametrize("bad", [2.5, 3.0, True, "3"])
+@pytest.mark.parametrize("build", [
+    lambda x: ChainSpec(c=x, k2=3, links=("D", "T")),
+    lambda x: ChainSpec(c=1, k2=x),
+    gen_path,
+    gen_antiregular,
+    gen_complete,
+    lambda x: random_connected_graph(x, random.Random(0)),
+    lambda x: append_path(gen_path(2), 1, x),
+    lambda x: CompositeSpec(structure=gen_path(3), cell=gen_path(3), s=x),
+    lambda x: predict_composite(CompositeSpec(structure=gen_path(3), cell=gen_path(3), s=1), x),
+], ids=["chain-c", "chain-k2", "path", "antiregular", "complete", "random", "append-m",
+        "composite-s", "predict-w"])
+def test_orders_and_counts_follow_the_integer_rule(build, bad):
+    # each was checked only by comparison: 2.5 passed it or reached range()
+    with pytest.raises(ValueError, match=f"must be integers, got {bad!r}"):
+        build(bad)
+    assert build(np.int64(3)) == build(3)
 
 
 class TestAppendPath:

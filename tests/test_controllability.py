@@ -94,6 +94,36 @@ def _fraction_free_rank(L, b):
     return len(pivots)
 
 
+def _krylov_mod_reference(L, b, p):
+    """(rank, q) of (L, b) over GF(p) one Krylov vector at a time, the exact
+    oracle's earlier kernel, kept as the reference its (rank, q) must match.
+
+    Each new vector f(L) b, with f's coefficients carried in n more columns,
+    is reduced by the reduced-echelon pivot rows and reduced mod p; a new
+    pivot is normalized and cleared from the rows above, and the next vector
+    is L times it. The vector that reduces to zero gives the monic q.
+    """
+    n = len(b)
+    rows = np.zeros((n, 2 * n), dtype=np.int64)
+    pivots = np.zeros(n, dtype=np.intp)
+    v = np.zeros(2 * n, dtype=np.int64)
+    v[:n], v[n] = b, 1
+    for r in range(n):
+        v -= v[pivots[:r]] @ rows[:r]
+        v %= p
+        nonzero = v[:n].nonzero()[0]
+        if not len(nonzero):
+            return r, (v[n:n + r + 1] * pow(int(v[n + r]), -1, p) % p).tolist()
+        pos = pivots[r] = nonzero[0]
+        v *= pow(int(v[pos]), -1, p)
+        v %= p
+        rows[:r] -= rows[:r, pos, None] * v
+        rows[:r] %= p
+        rows[r] = v
+        v = np.concatenate([L @ v[:n] % p, [0], v[n:-1]])
+    return n, None
+
+
 # ---------------------------------------------------------------------------
 # input vectors
 # ---------------------------------------------------------------------------
@@ -504,6 +534,29 @@ class TestKalmanExact:
             deficient += expected < len(L)
         assert 0 < deficient < len(cases)  # both bounds decide some case
 
+    def test_kernel_matches_the_reference_kernel(self):
+        # every vertex of P, K and AR of orders around the block boundaries
+        # 16 and 32, and three vertices of random graphs up to order 60,
+        # modulo the largest prime and the eighth: ranks on both sides of
+        # each boundary, full rank included
+        import lapctrl.controllability as ctrl
+        rng = random.Random(17)
+        cases = [(g, range(1, g.n + 1)) for k in (2, 8, 16, 17, 32, 33, 40)
+                 for g in (gen_path(k), gen_complete(k), gen_antiregular(k))]
+        for _ in range(10):
+            g = random_connected_graph(rng.randint(2, 60), rng)
+            cases.append((g, {1, (g.n + 1) // 2, g.n}))
+        ranks = set()
+        for g, vertices in cases:
+            L = laplacian(g)
+            for v in vertices:
+                b = _ev(g.n, v).ravel()
+                for p in (ctrl._prime(0), ctrl._prime(7)):
+                    result = ctrl._krylov_mod(L % p, b, p)
+                    assert result == _krylov_mod_reference(L % p, b, p), (g, v, p)
+                    ranks.add(result[0])
+        assert {16, 17, 32, 33, 40} <= ranks
+
     @pytest.fixture
     def residue_ranks(self, monkeypatch):
         """(prime, residue rank) of each Krylov run mod p, in order; more than
@@ -534,11 +587,73 @@ class TestKalmanExact:
     def test_a_prime_below_the_top_residue_rank_is_left_out(self, residue_ranks, j):
         # diag(0, 0, p_j) has rank 2, but modulo p_j it is zero and has rank
         # 1: at j = 0 the second prime's higher rank restarts the combination,
-        # at j = 1 the second prime is skipped; q = x^2 - p_j x and R = p_j
-        # give the bound 2 p_j^2, which takes three primes at rank 2
+        # at j = 1 the second prime is skipped. q = x^2 - p_j x: modulo one
+        # prime p != p_j the symmetric residue of -p_j is p - p_j or 2p - p_j,
+        # so the integer check fails, and the first two primes at rank 2 give
+        # -p_j exactly, where q(L) b = 0 over the integers decides
         runs, primes = residue_ranks
         assert kalman_rank_exact(np.diag([0, 0, primes[j]]), [1, 1, 1]) == 2
-        assert runs == [(p, 1 if i == j else 2) for i, p in enumerate(primes)]
+        assert runs == [(p, 1 if i == j else 2) for i, p in enumerate(primes[:3])]
+
+    def test_one_prime_decides_when_q_lifts_exactly(self, residue_ranks):
+        # q's coefficients are below half the first prime, so its symmetric
+        # lift is q itself and q(L) b = 0 over the integers at once; the CRT
+        # bound alone needs M > 2 sum |q_k| R^k, more than one prime gives for
+        # P15 at vertex 3 (R = 4, rank 13) and the AR6(P6) composite at
+        # vertex 1 (R = 12, rank 12)
+        runs, primes = residue_ranks
+        spec = CompositeSpec(structure=gen_antiregular(6), cell=gen_path(6), s=1)
+        for L, v, rank in ((laplacian(gen_path(3)), 2, 2), (laplacian(gen_path(15)), 3, 13),
+                           (laplacian(composite(spec)), 1, 12)):
+            runs.clear()
+            assert kalman_rank_exact(L, _ev(len(L), v)) == rank
+            assert runs == [(primes[0], rank)]
+
+    def test_a_large_upper_bound_keeps_the_crt_loop(self, residue_ranks):
+        # the AR10(P10) composite at vertex 1 has rank 20 and q's largest
+        # coefficient is 70488724, more than half of any prime below 2^21, so
+        # no single prime lifts it; with R = 20 the bound is near 20^20,
+        # above 2^62, and the CRT bound decides after five primes
+        runs, primes = residue_ranks
+        spec = CompositeSpec(structure=gen_antiregular(10), cell=gen_path(10), s=1)
+        assert kalman_rank_exact(laplacian(composite(spec)), _ev(100, 1)) == 20
+        assert [rank for _, rank in runs] == [20] * 5
+
+    def test_low_rank_pair_builds_few_rows(self):
+        # K_n at a vertex has rank 2 (q = x^2 - n x); the kernel builds one
+        # block of rows, one mat-vec each, not all n
+        import lapctrl.controllability as ctrl
+        L = laplacian(gen_complete(512))
+        assert kalman_rank_exact(L, _ev(512, 1)) == 2
+        products = []
+
+        class Counted(np.ndarray):
+            def __matmul__(self, other):
+                products.append(other.shape)
+                return np.asarray(self) @ other
+
+        p = ctrl._prime(0)
+        assert ctrl._krylov_mod((L % p).view(Counted), _ev(512, 1).ravel(), p)[0] == 2
+        assert products == [(512,)] * ctrl._FIRST_BLOCK
+
+    def test_float_entries_outside_int64_are_refused_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="exact rank needs an integer matrix"):
+                kalman_rank_exact(np.array([[1e300, -1e300], [-1e300, 1e300]]), [1, 0])
+            with pytest.raises(ValueError, match="exact rank needs an integer matrix$"):
+                kalman_rank_exact(np.array([[0.5, -0.5], [-0.5, 0.5]]), [1, 0])
+
+    def test_uint64_entries_outside_int64_are_refused_by_range(self):
+        big = np.array([[2**63, 0], [0, 1]], dtype=np.uint64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="int64 range"):
+                kalman_rank_exact(big, [1, 1])
+        # the largest int64 values are still decided exactly
+        top = np.array([[2**63 - 1, 0], [0, 1]], dtype=np.uint64)
+        assert kalman_rank_exact(top, [1, 1]) == 2
+        assert kalman_rank_exact(np.array([[-2**63, 0], [0, 0]]), [1, 1]) == 2
 
     def test_rank_deficient_pairs_are_certified_by_crt(self):
         # vertex 64 copies the neighbours of vertex 63, so e_63 - e_64 is an
