@@ -34,6 +34,7 @@ __all__ = [
     "pbh_verdict",
     "kalman_rank_exact",
     "exact_verdict",
+    "exact_verdicts",
     "controllable_vertices",
     "gramian_check",
     "GRAMIAN_EIG_FLOOR",
@@ -140,6 +141,7 @@ def _prime(i: int) -> int:
 
 
 _FIRST_BLOCK = 16  # Krylov rows built before the first elimination step
+_STACK_BYTES = 1 << 18  # Krylov rows of one stack of pairs that exact_verdicts decides together
 
 
 def _krylov_mod(L: np.ndarray, b: np.ndarray, p: int) -> tuple[int, list[int] | None]:
@@ -188,6 +190,105 @@ def _krylov_mod(L: np.ndarray, b: np.ndarray, p: int) -> tuple[int, list[int] | 
         start, end = end, min(n, 2 * end)
 
 
+def _krylov_mod_stack(Ls: np.ndarray, bs: np.ndarray,
+                      p: int) -> list[tuple[int, list[int] | None]]:
+    """_krylov_mod on m pairs of one order at once: Ls is m-by-n-by-n with
+    entries in [0, p), bs is m-by-n.
+
+    Every member takes the same steps as in _krylov_mod, with a leading
+    stack axis on each array: the same doubling blocks, the same delayed
+    reduction and the same Gauss-Jordan updates. A member leaves the stack
+    when its row reduces to zero, so each gets exactly the (rank, q) that
+    _krylov_mod gives it. Returned in stack order.
+    """
+    m, n = bs.shape
+    out: list = [None] * m
+    live = each = np.arange(m)  # live[i]: the stack position of the member in rows[i]
+    rows = np.zeros((m, n, 2 * n), dtype=np.int64)
+    pivots = np.zeros((m, n), dtype=np.intp)
+    inverses = np.zeros((m, n), dtype=np.int64)
+    v = bs
+    start, end = 0, min(n, _FIRST_BLOCK)
+    while True:
+        for k in range(start, end):
+            rows[:, k, :n] = v
+            rows[:, k, n + k] = 1
+            v = (Ls @ v[:, :, None])[:, :, 0] % p
+        if start:
+            rows[:, :start] %= p
+            block = rows[:, start:end]
+            at_pivots = np.take_along_axis(block, pivots[:, None, :start], axis=2)
+            block -= (at_pivots * inverses[:, None, :start] % p) @ rows[:, :start]
+        for r in range(start, end):
+            rows[:, r] %= p
+            pos = pivots[:, r] = rows[:, r, :n].argmax(axis=1)
+            values = rows[each, r, pos]
+            done = values == 0
+            if done.any():
+                for i in done.nonzero()[0]:
+                    out[live[i]] = r, rows[i, r, n:n + r + 1].tolist()
+                if done.all():
+                    return out
+                keep = ~done
+                live, Ls, rows, pivots, inverses, v, pos, values = (
+                    a[keep] for a in (live, Ls, rows, pivots, inverses, v, pos, values))
+                each = np.arange(len(live))
+            inverses[:, r] = [pow(x, -1, p) for x in values.tolist()]
+            multipliers = rows[each, :end, pos] % p * inverses[:, r, None] % p
+            multipliers[:, r] = 0
+            rows[:, :end] -= multipliers[:, :, None] * rows[:, r, None, :]
+        if end == n:
+            for i in live:
+                out[i] = n, None
+            return out
+        start, end = end, min(n, 2 * end)
+
+
+def _exact_input(L, B) -> tuple[np.ndarray, np.ndarray]:
+    """(L, b) as int64 arrays, refused unless L is integer within int64."""
+    Lmat = _check_square(L)
+    if Lmat.dtype.kind == "f" and not (Lmat == np.trunc(Lmat)).all():
+        raise ValueError("exact rank needs an integer matrix")
+    if not -2**63 <= int(Lmat.min()) <= int(Lmat.max()) < 2**63:
+        raise ValueError("exact rank needs an integer matrix with entries in the int64 range")
+    return Lmat.astype(np.int64, copy=False), _as_control(B, Lmat.shape[0])
+
+
+def _certified_rank(as_int: np.ndarray, b: np.ndarray, first: tuple[int, list[int] | None]) -> int:
+    """The rank over the rationals, given the first prime's (rank, q) mod
+    _prime(0); the bounds and the further primes are kalman_rank_exact's."""
+    n = len(b)
+    best, coeffs, modulus, row_sum = 0, [], 1, None
+    for i in itertools.count():
+        p = _prime(i)
+        rank, q = _krylov_mod(as_int % p, b, p) if i else first
+        if rank == n:
+            return n
+        if rank < best:
+            continue
+        if rank > best:
+            best, coeffs, modulus = rank, [0] * (rank + 1), 1
+        step = pow(modulus, -1, p)
+        coeffs = [c + modulus * ((x - c) * step % p) for c, x in zip(coeffs, q)]
+        modulus *= p
+        if row_sum is None:
+            # int64 sums are exact while no row can reach 2^63
+            wide = n * max(-int(as_int.min()), int(as_int.max())) >= 2**63
+            row_sum = int(abs(as_int.astype(object) if wide else as_int).sum(axis=1).max())
+        lifted = [c if 2 * c < modulus else c - modulus for c in coeffs]
+        bound = 0
+        for c in reversed(lifted):
+            bound = bound * row_sum + abs(c)
+        if modulus > 2 * bound:
+            return rank
+        if bound < 2**62:
+            v = b  # Horner's rule; every partial sum is at most bound in size
+            for c in reversed(lifted[:-1]):
+                v = as_int @ v + c * b
+            if not v.any():
+                return rank
+
+
 def kalman_rank_exact(L, B) -> int:
     """Rank of the Kalman matrix [b, Lb, ..., L^{n-1}b] over the rationals.
 
@@ -207,42 +308,9 @@ def kalman_rank_exact(L, B) -> int:
     below half of it. Otherwise another prime joins; a prime with a higher
     rank restarts the combination.
     """
-    Lmat = _check_square(L)
-    n = Lmat.shape[0]
-    if Lmat.dtype.kind == "f" and not (Lmat == np.trunc(Lmat)).all():
-        raise ValueError("exact rank needs an integer matrix")
-    if not -2**63 <= int(Lmat.min()) <= int(Lmat.max()) < 2**63:
-        raise ValueError("exact rank needs an integer matrix with entries in the int64 range")
-    as_int = Lmat.astype(np.int64)
-    b = _as_control(B, n)
-
-    best, coeffs, modulus, row_sum = 0, [], 1, None
-    for i in itertools.count():
-        p = _prime(i)
-        rank, q = _krylov_mod(as_int % p, b, p)
-        if rank == n:
-            return n
-        if rank < best:
-            continue
-        if rank > best:
-            best, coeffs, modulus = rank, [0] * (rank + 1), 1
-        step = pow(modulus, -1, p)
-        coeffs = [c + modulus * ((x - c) * step % p) for c, x in zip(coeffs, q)]
-        modulus *= p
-        if row_sum is None:
-            row_sum = int(abs(as_int.astype(object)).sum(axis=1).max())
-        lifted = [c if 2 * c < modulus else c - modulus for c in coeffs]
-        bound = 0
-        for c in reversed(lifted):
-            bound = bound * row_sum + abs(c)
-        if modulus > 2 * bound:
-            return rank
-        if bound < 2**62:
-            v = b  # Horner's rule; every partial sum is at most bound in size
-            for c in reversed(lifted[:-1]):
-                v = as_int @ v + c * b
-            if not v.any():
-                return rank
+    as_int, b = _exact_input(L, B)
+    p = _prime(0)
+    return _certified_rank(as_int, b, _krylov_mod(as_int % p, b, p))
 
 
 def exact_verdict(L, B) -> Verdict:
@@ -252,13 +320,56 @@ def exact_verdict(L, B) -> Verdict:
     return Verdict(controllable=rank == len(L), method="exact", rank=rank)
 
 
+def exact_verdicts(pairs: Iterable[tuple]) -> list[Verdict]:
+    """exact_verdict for each (L, b) pair, in input order, decided together.
+
+    Every pair is checked as kalman_rank_exact checks it, and each distinct
+    pair (the same int64 L and b) is decided once. Pairs of one order n are
+    stacked, at most _STACK_BYTES of Krylov rows (16 n^2 bytes a member) to
+    a stack, and the first prime runs on the whole stack in one
+    _krylov_mod_stack call; a stack of one runs _krylov_mod itself, which is
+    faster for a single pair. Each member below rank n is then certified as
+    in kalman_rank_exact, with further primes as it needs them.
+    """
+    matrices: dict[bytes, bytes] = {}  # one copy of each distinct matrix's bytes
+    index: dict[tuple[bytes, bytes], int] = {}
+    members: list[tuple[np.ndarray, np.ndarray]] = []
+    by_order: dict[int, list[int]] = {}
+    order = []
+    for L, B in pairs:
+        as_int, b = _exact_input(L, B)
+        data = as_int.tobytes()
+        key = matrices.setdefault(data, data), b.tobytes()
+        if key not in index:
+            index[key] = len(members)
+            by_order.setdefault(len(b), []).append(len(members))
+            members.append((np.frombuffer(key[0], dtype=np.int64).reshape(as_int.shape), b))
+        order.append(index[key])
+    p = _prime(0)
+    verdicts: list[Verdict] = [None] * len(members)
+    for n, group in by_order.items():
+        size = max(1, _STACK_BYTES // (16 * n * n))
+        for chunk in (group[i:i + size] for i in range(0, len(group), size)):
+            stack = [members[i] for i in chunk]
+            if len(stack) == 1:
+                firsts = [_krylov_mod(stack[0][0] % p, stack[0][1], p)]
+            else:
+                Ls = np.stack([a for a, _ in stack])
+                Ls %= p
+                firsts = _krylov_mod_stack(Ls, np.stack([b for _, b in stack]), p)
+            for i, (as_int, b), first in zip(chunk, stack, firsts):
+                rank = _certified_rank(as_int, b, first)
+                verdicts[i] = Verdict(controllable=rank == n, method="exact", rank=rank)
+    return [verdicts[i] for i in order]
+
+
 def controllable_vertices(g: Graph) -> set[int]:
     """Vertices v of a connected graph where a single input at v controls it."""
     if not is_connected(g):
         raise ValueError("controllable_vertices needs a connected graph")
     L = laplacian(g)
-    return {v for v in range(1, g.n + 1)
-            if exact_verdict(L, input_vector(g.n, [v])).controllable}
+    verdicts = exact_verdicts((L, input_vector(g.n, [v])) for v in range(1, g.n + 1))
+    return {v for v, verdict in enumerate(verdicts, 1) if verdict.controllable}
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from .graph_core import (Graph, conjugate, degree_sequence, gen_antiregular,
                          gen_complete, gen_path, laplacian,
                          random_connected_graph)
 from .spectral import check_majorization, eig_sym
-from .controllability import controllable_vertices, exact_verdict, input_vector
+from .controllability import controllable_vertices, exact_verdicts, input_vector
 from .compose import (ChainSpec, CompositeSpec, OutOfSupport, append_path,
                       chain_antiregular, composite, path_split_controllable,
                       predict_composite, valid_chain_input)
@@ -41,9 +41,12 @@ def _support_case(name: str, entries: list[int], blind: list[int]) -> dict:
     return _case(name, not blind, f"entries {entries}; uncontrollable from {blind}")
 
 
-def _blind(L, entries: list[int]) -> list[int]:
-    """The entries v where a single input at v does not control L."""
-    return [v for v in entries if not exact_verdict(L, input_vector(len(L), [v])).controllable]
+def _blind(claims: list[tuple]) -> list[list[int]]:
+    """For each (L, entries) claim, the entries v where a single input at v
+    does not control L; every claim is decided in one exact_verdicts call."""
+    verdicts = iter(exact_verdicts((L, input_vector(len(L), [v]))
+                                   for L, entries in claims for v in entries))
+    return [[v for v in entries if not next(verdicts).controllable] for _, entries in claims]
 
 
 def _family_graphs() -> list[tuple[str, Graph]]:
@@ -64,54 +67,60 @@ def verify_composite() -> list[dict]:
     and every eigenvector must be nonzero at the composite-vertex indices
     of those structure positions, which theorem4's oracle calls decide.
     """
-    cases = []
     graphs = _family_graphs()
     controlling = {name: sorted(controllable_vertices(g)) for name, g in graphs}
-    for cell_name, cell in graphs:
-        for s in controlling[cell_name]:
-            for struct_name, struct in graphs:
-                spec = CompositeSpec(structure=struct, cell=cell, s=s)
-                comp = composite(spec)
-                Lc = laplacian(comp)
-                k1, k2 = struct.n, cell.n
-                controls = {}
-                for w in range(1, k1 + 1):
-                    pred = predict_composite(spec, w)
-                    idx = (w - 1) * k2 + s
-                    oracle = controls[idx] = exact_verdict(
-                        Lc, input_vector(comp.n, [idx])).controllable
-                    ok = pred.controllable == oracle and pred.input_vertex == idx
-                    cases.append(_case(
-                        f"theorem4 structure={struct_name} cell={cell_name} s={s} w={w}", ok,
-                        f"predicted={pred.controllable} oracle={oracle} input={idx}"))
-                positions = controlling[struct_name]
-                if not positions:
-                    continue
-                entries = [(w - 1) * k2 + s for w in positions]
-                cases.append(_support_case(
-                    f"theorem3 structure={struct_name} cell={cell_name} s={s}", entries,
-                    [v for v in entries if not controls[v]]))
+    runs = [(CompositeSpec(structure=struct, cell=cell, s=s), cell_name, struct_name)
+            for cell_name, cell in graphs for s in controlling[cell_name]
+            for struct_name, struct in graphs]
+
+    def pairs():  # built as they are decided, so no composite is held for long
+        for spec, _, _ in runs:
+            Lc = laplacian(composite(spec))
+            for w in range(1, spec.structure.n + 1):
+                yield Lc, input_vector(len(Lc), [(w - 1) * spec.cell.n + spec.s])
+
+    verdicts = iter(exact_verdicts(pairs()))
+    cases = []
+    for spec, cell_name, struct_name in runs:
+        k1, k2, s = spec.structure.n, spec.cell.n, spec.s
+        controls = {}
+        for w in range(1, k1 + 1):
+            pred = predict_composite(spec, w)
+            idx = (w - 1) * k2 + s
+            oracle = controls[idx] = next(verdicts).controllable
+            ok = pred.controllable == oracle and pred.input_vertex == idx
+            cases.append(_case(
+                f"theorem4 structure={struct_name} cell={cell_name} s={s} w={w}", ok,
+                f"predicted={pred.controllable} oracle={oracle} input={idx}"))
+        positions = controlling[struct_name]
+        if not positions:
+            continue
+        entries = [(w - 1) * k2 + s for w in positions]
+        cases.append(_support_case(
+            f"theorem3 structure={struct_name} cell={cell_name} s={s}", entries,
+            [v for v in entries if not controls[v]]))
     return cases
 
 
 def verify_cj() -> list[dict]:
     """Path-split predicate versus the exact oracle, paths up to 20 vertices."""
+    paths = [(k, v) for k in range(1, 21) for v in range(1, k + 1)]
+    laplacians = {k: laplacian(gen_path(k)) for k in range(1, 21)}
+    verdicts = exact_verdicts((laplacians[k], input_vector(k, [v])) for k, v in paths)
     cases = []
-    for k in range(1, 21):
-        L = laplacian(gen_path(k))
-        for v in range(1, k + 1):
-            predicted = path_split_controllable(v - 1, k - v)
-            oracle = exact_verdict(L, input_vector(k, [v])).controllable
-            cases.append(_case(
-                f"cj P{k} v={v}", predicted == oracle,
-                f"split=({v - 1},{k - v}) predicted={predicted} oracle={oracle}"))
+    for (k, v), verdict in zip(paths, verdicts):
+        predicted = path_split_controllable(v - 1, k - v)
+        oracle = verdict.controllable
+        cases.append(_case(
+            f"cj P{k} v={v}", predicted == oracle,
+            f"split=({v - 1},{k - v}) predicted={predicted} oracle={oracle}"))
     return cases
 
 
 def verify_chain() -> list[dict]:
     """Chain input predicate versus the exact oracle, every nonzero block-1
     input that the predicate covers (it raises OutOfSupport on the others)."""
-    cases = []
+    claims, pairs = [], []
     for k2 in (2, 3, 4, 5):
         for c in (2, 3):
             for links in itertools.product("DT", repeat=c - 1):
@@ -126,29 +135,28 @@ def verify_chain() -> list[dict]:
                         predicted = valid_chain_input(spec, b)
                     except OutOfSupport:
                         continue
-                    oracle = exact_verdict(L, b).controllable
                     word = "".join(links)
                     pattern = "".join(map(str, bits))
-                    cases.append(_case(
-                        f"chain c={c} k2={k2} links={word} b={pattern}", predicted == oracle,
-                        f"predicted={predicted} oracle={oracle}"))
-    return cases
+                    claims.append((f"chain c={c} k2={k2} links={word} b={pattern}", predicted))
+                    pairs.append((L, b))
+    return [_case(name, predicted == verdict.controllable,
+                  f"predicted={predicted} oracle={verdict.controllable}")
+            for (name, predicted), verdict in zip(claims, exact_verdicts(pairs))]
 
 
 def verify_lemma6() -> list[dict]:
     """Chain spectra are simple and eigenvectors are nonzero at entries
     kappa and kappa+1, for every link mix with c <= 4 blocks of order <= 5."""
-    cases = []
+    names, claims = [], []
     for k2 in (2, 3, 4, 5):
         for c in (1, 2, 3, 4):
             for links in itertools.product("DT", repeat=c - 1):
                 spec = ChainSpec(c=c, k2=k2, links=links)
-                entries = [spec.kappa, spec.kappa + 1]
                 word = "".join(links) if links else "-"
-                cases.append(_support_case(
-                    f"lemma6 c={c} k2={k2} links={word}", entries,
-                    _blind(laplacian(chain_antiregular(spec)), entries)))
-    return cases
+                names.append(f"lemma6 c={c} k2={k2} links={word}")
+                claims.append((laplacian(chain_antiregular(spec)), [spec.kappa, spec.kappa + 1]))
+    return [_support_case(name, entries, blind)
+            for name, (_, entries), blind in zip(names, claims, _blind(claims))]
 
 
 def verify_lemma7() -> list[dict]:
@@ -159,16 +167,16 @@ def verify_lemma7() -> list[dict]:
         for link in "DT":
             spec = ChainSpec(c=2, k2=k2, links=(link,))
             hosts.append((f"chain c=2 k2={k2} links={link}", chain_antiregular(spec)))
-    cases = []
+    names, claims = [], []
     for name, g in hosts:
         for v in sorted(controllable_vertices(g)):
             for m in range(1, 6):
                 appended = append_path(g, v, m)
+                names.append(f"lemma7 {name} v={v} m={m}")
                 # the path's far end is the last vertex
-                entries = [appended.n]
-                cases.append(_support_case(f"lemma7 {name} v={v} m={m}", entries,
-                                           _blind(laplacian(appended), entries)))
-    return cases
+                claims.append((laplacian(appended), [appended.n]))
+    return [_support_case(name, entries, blind)
+            for name, (_, entries), blind in zip(names, claims, _blind(claims))]
 
 
 def verify_majorization(seed: int = DEFAULT_SEED) -> list[dict]:
@@ -206,16 +214,13 @@ def verify_figure1() -> list[dict]:
     spec = CompositeSpec(structure=gen_antiregular(7), cell=gen_antiregular(5), s=3)
     comp = composite(spec)
     pred = predict_composite(spec, 4)
-    oracle = exact_verdict(laplacian(comp), input_vector(comp.n, [18]))
-    ok = oracle.controllable and pred.controllable and pred.input_vertex == 18
-    cases = [_case("figure1d composite AR7(AR5,s=3) input=18", ok,
-                   f"oracle rank {oracle.rank}/{comp.n}; predicted controllable={pred.controllable}")]
-    for links in itertools.product("DT", repeat=4):
-        bare_spec = ChainSpec(c=5, k2=5, links=links)
+    words = ["".join(links) for links in itertools.product("DT", repeat=4)]
+    tries = []  # (word, label, bare pair, tailed pair) for each covered input
+    for word in words:
+        bare_spec = ChainSpec(c=5, k2=5, links=tuple(word))
         bare = chain_antiregular(bare_spec)
         tailed = append_path(bare, bare_spec.kappa, 4)
         L_bare, L_tail = laplacian(bare), laplacian(tailed)
-        winners = []
         for label, pattern in _FIG1C_INPUTS:
             b_bare = _block1_input(bare.n, pattern)
             try:
@@ -223,13 +228,22 @@ def verify_figure1() -> list[dict]:
                     continue
             except OutOfSupport:
                 continue
-            if (exact_verdict(L_bare, b_bare).controllable and exact_verdict(
-                    L_tail, _block1_input(tailed.n, pattern)).controllable):
-                winners.append(label)
-        word = "".join(links)
-        cases.append(_case(
-            f"figure1c chain 5xAR5 links={word} tail=4@3", winners,
-            f"controllable with and without tail for b in [{', '.join(winners)}]"))
+            tries.append((word, label, (L_bare, b_bare),
+                          (L_tail, _block1_input(tailed.n, pattern))))
+    oracle, *bare_verdicts = exact_verdicts([(laplacian(comp), input_vector(comp.n, [18]))]
+                                            + [pair for _, _, pair, _ in tries])
+    # the tail is only asked about where the bare chain is controllable
+    tries = [t for t, verdict in zip(tries, bare_verdicts) if verdict.controllable]
+    winners: dict[str, list[str]] = {word: [] for word in words}
+    for (word, label, _, _), verdict in zip(tries, exact_verdicts(t[3] for t in tries)):
+        if verdict.controllable:
+            winners[word].append(label)
+    ok = oracle.controllable and pred.controllable and pred.input_vertex == 18
+    cases = [_case("figure1d composite AR7(AR5,s=3) input=18", ok,
+                   f"oracle rank {oracle.rank}/{comp.n}; predicted controllable={pred.controllable}")]
+    cases += [_case(f"figure1c chain 5xAR5 links={word} tail=4@3", winners[word],
+                    f"controllable with and without tail for b in [{', '.join(winners[word])}]")
+              for word in words]
     return cases
 
 

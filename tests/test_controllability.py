@@ -21,6 +21,7 @@ from lapctrl import (
     eig_sym,
     eigenspaces,
     exact_verdict,
+    exact_verdicts,
     gen_antiregular,
     gen_complete,
     gen_path,
@@ -33,6 +34,7 @@ from lapctrl import (
     random_connected_graph,
     valid_chain_input,
 )
+from lapctrl.verify import SUITES
 
 
 def _ev(n, *vertices):
@@ -209,6 +211,7 @@ _MATRIX_DECIDERS = {
     "pbh_verdict": pbh_verdict,
     "kalman_rank_exact": kalman_rank_exact,
     "exact_verdict": exact_verdict,
+    "exact_verdicts": lambda L, b: exact_verdicts([(L, b)])[0],
     "gramian_check": gramian_check,
 }
 _INPUT_DECIDERS = {
@@ -547,15 +550,24 @@ class TestKalmanExact:
             g = random_connected_graph(rng.randint(2, 60), rng)
             cases.append((g, {1, (g.n + 1) // 2, g.n}))
         ranks = set()
+        stacks = {}  # order -> (L, b) of every case, for the stacked kernel
         for g, vertices in cases:
             L = laplacian(g)
             for v in vertices:
                 b = _ev(g.n, v).ravel()
+                stacks.setdefault(g.n, []).append((L, b))
                 for p in (ctrl._prime(0), ctrl._prime(7)):
                     result = ctrl._krylov_mod(L % p, b, p)
                     assert result == _krylov_mod_reference(L % p, b, p), (g, v, p)
                     ranks.add(result[0])
         assert {16, 17, 32, 33, 40} <= ranks
+        # the stacked kernel, member by member: its members leave the stack
+        # at different ranks, full rank included
+        for n, pairs in stacks.items():
+            for p in (ctrl._prime(0), ctrl._prime(7)):
+                Ls = np.stack([L % p for L, _ in pairs])
+                result = ctrl._krylov_mod_stack(Ls, np.stack([b for _, b in pairs]), p)
+                assert result == [_krylov_mod_reference(L % p, b, p) for L, b in pairs], (n, p)
 
     @pytest.fixture
     def residue_ranks(self, monkeypatch):
@@ -673,6 +685,19 @@ class TestKalmanExact:
             assert kalman_rank_exact(2**40 * L, _ev(40, v)) == kalman_rank_exact(L, _ev(40, v))
         assert kalman_rank_exact(L, _ev(40, 8)) == 38
 
+    def test_row_sums_beyond_int64_are_exact(self):
+        # x is a multiple of the first prime just above 2^62, so modulo it L
+        # is zero and has rank 1 with q = t; the row sum R = 2x is above
+        # 2^63, where an int64 sum wraps negative and the bound would accept
+        # q at once. Exactly, R bounds q(L) b by 2x, one prime cannot
+        # certify that, and the second prime sees the full rank
+        import lapctrl.controllability as ctrl
+        x = ctrl._prime(0) * (2**62 // ctrl._prime(0) + 1)
+        L = np.array([[x, x], [x, x]])
+        assert kalman_rank_exact(L, [1, 0]) == 2
+        assert exact_verdicts([(L, [1, 0]), (L, [1, 1])]) == [
+            exact_verdict(L, [1, 0]), exact_verdict(L, [1, 1])]
+
 
 def _graph_and_input_sets(k, seed):
     """A random connected graph of order k and four nonempty proper vertex sets."""
@@ -715,6 +740,108 @@ class TestExactMetamorphic:
         for S in sets:
             b = _ev(k, *S)
             assert kalman_rank_exact(Lc, b) == kalman_rank_exact(L, b), S
+
+
+class TestExactVerdicts:
+    @pytest.fixture
+    def first_prime_members(self, monkeypatch):
+        """(kernel, pairs) for each first-prime kernel call: a stack's members,
+        or the one pair of a single _krylov_mod run."""
+        import lapctrl.controllability as ctrl
+        calls = []
+        single, stacked = ctrl._krylov_mod, ctrl._krylov_mod_stack
+
+        def single_recording(L, b, p):
+            if p == ctrl._prime(0):
+                calls.append(("single", [(L.tobytes(), b.tobytes())]))
+            return single(L, b, p)
+
+        def stack_recording(Ls, bs, p):
+            calls.append(("stack", [(L.tobytes(), b.tobytes()) for L, b in zip(Ls, bs)]))
+            return stacked(Ls, bs, p)
+
+        monkeypatch.setattr(ctrl, "_krylov_mod", single_recording)
+        monkeypatch.setattr(ctrl, "_krylov_mod_stack", stack_recording)
+        return calls
+
+    def test_matches_exact_verdict_on_mixed_orders(self):
+        # P, K and AR of orders 1..40 at every vertex, across the block
+        # boundaries 16/17 and 32/33; ten random graphs at three inputs each;
+        # AR10(P10) at vertex 1, which takes five primes; and the matrix
+        # kinds the dtype rule accepts besides int64. Shuffled, so stacks of
+        # one order fill from pairs spread over the list
+        pairs = []
+        for k in range(1, 41):
+            for g in (gen_path(k), gen_complete(k), *([gen_antiregular(k)] if k > 1 else [])):
+                L = laplacian(g)
+                pairs += [(L, _ev(k, v)) for v in range(1, k + 1)]
+        rng = random.Random(18)
+        for _ in range(10):
+            g = random_connected_graph(rng.randint(2, 30), rng)
+            L = laplacian(g)
+            pairs += [(L, _ev(g.n, *rng.sample(range(1, g.n + 1), rng.randint(1, 3))))
+                      for _ in range(3)]
+        spec = CompositeSpec(structure=gen_antiregular(10), cell=gen_path(10), s=1)
+        pairs.append((laplacian(composite(spec)), _ev(100, 1)))
+        L = laplacian(gen_antiregular(6))
+        D = np.diag(np.diag(L))
+        for m in ((D - L).astype(bool), (2 * D - L).astype(np.uint8), L.astype(np.float64)):
+            pairs += [(m, _ev(6, v).ravel().astype(m.dtype)) for v in range(1, 7)]
+        rng.shuffle(pairs)
+        assert exact_verdicts(pairs) == [exact_verdict(L, b) for L, b in pairs]
+
+    def test_each_distinct_pair_meets_the_kernel_once(self, first_prime_members):
+        # P2, AR2 and K2 are one graph, so their composites with one
+        # structure are one Laplacian; each vertex is asked about three
+        # times and decided once, and the verdicts come back in input order
+        structure = gen_path(3)
+        pairs = []
+        for cell in (gen_path(2), gen_antiregular(2), gen_complete(2)):
+            g = composite(CompositeSpec(structure=structure, cell=cell, s=1))
+            pairs += [(laplacian(g), _ev(6, v)) for v in range(6, 0, -1)]
+        verdicts = exact_verdicts(pairs)
+        members = [m for _, call in first_prime_members for m in call]
+        assert len(members) == len(set(members)) == 6
+        assert verdicts == [exact_verdict(L, b) for L, b in pairs]
+        assert [v.rank for v in verdicts[:6]] == [kalman_rank_exact(L, b) for L, b in pairs[:6]]
+
+    def test_a_stack_over_the_byte_budget_is_split(self, first_prime_members):
+        # a member of order 40 holds 16 * 40^2 bytes of Krylov rows, so ten
+        # fit in the budget; a lone pair of another order runs _krylov_mod
+        import lapctrl.controllability as ctrl
+        assert ctrl._STACK_BYTES // (16 * 40 * 40) == 10
+        L = laplacian(gen_path(40))
+        exact_verdicts([(L, _ev(40, v)) for v in range(1, 26)] + [(L[:3, :3], _ev(3, 1))])
+        assert [(kernel, len(call)) for kernel, call in first_prime_members] == [
+            ("stack", 10), ("stack", 10), ("stack", 5), ("single", 1)]
+
+    @pytest.mark.parametrize("L, b", [
+        (1.5 * laplacian(gen_path(3)), _ev(3, 1)),
+        (np.array([[2**63, 0], [0, 1]], dtype=np.uint64), [1, 1]),
+        (np.ones((2, 3)), [1, 1]),
+        (laplacian(gen_path(3)), _ev(2, 1)),
+        (laplacian(gen_path(3)), [0, 0, 0]),
+    ], ids=["non-integer", "out of range", "not square", "input shape", "zero input"])
+    def test_a_bad_pair_raises_kalman_rank_exacts_error(self, L, b):
+        with pytest.raises(ValueError) as expected:
+            kalman_rank_exact(L, b)
+        good = (laplacian(gen_path(3)), _ev(3, 1))
+        with pytest.raises(ValueError) as got:
+            exact_verdicts([good, (L, b), good])
+        assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize("suite", list(SUITES))
+    def test_batching_changes_no_verify_case(self, monkeypatch, suite):
+        import lapctrl.controllability as ctrl
+        import lapctrl.verify as verify
+        batched = SUITES[suite]()
+
+        def one_at_a_time(pairs):
+            return [exact_verdict(L, b) for L, b in pairs]
+
+        monkeypatch.setattr(ctrl, "exact_verdicts", one_at_a_time)
+        monkeypatch.setattr(verify, "exact_verdicts", one_at_a_time)
+        assert SUITES[suite]() == batched
 
 
 # ---------------------------------------------------------------------------
