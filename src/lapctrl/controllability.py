@@ -25,8 +25,8 @@ from typing import Iterable
 import numpy as np
 
 from .graph_core import Graph, _integer, is_connected, laplacian
-from .spectral import (_REAL_KINDS, _check_square, _check_symmetric, _fix_signs, eig_sym,
-                       eigenspaces)
+from .spectral import (_REAL_KINDS, _check_square, _check_symmetric, _cluster_cuts, _fix_signs,
+                       eig_sym)
 
 __all__ = [
     "Verdict",
@@ -98,10 +98,11 @@ def pbh_verdict(L, B) -> Verdict:
     """Eigenvector test: controllable iff every eigenvalue of L is simple and
     no eigenvector is orthogonal to the input b.
 
-    L is decomposed once. An eigenspace is covered iff it is one-dimensional
-    and its unit eigenvector q has |q^T b| > 1e-8; one input can never cover
-    an eigenspace of dimension >= 2. The first uncovered space, with
-    orthonormal basis Q, yields the witness w = Q u, u a unit vector
+    L is decomposed once, and every eigenspace is decided in one pass over
+    the projections q^T b of all unit eigenvectors q. An eigenspace is
+    covered iff it is one-dimensional and its |q^T b| > 1e-8; one input can
+    never cover an eigenspace of dimension >= 2. The first uncovered space,
+    with orthonormal basis Q, yields the witness w = Q u, u a unit vector
     orthogonal to Q^T b (the last left singular vector of that d-by-1
     matrix): a unit eigenvector with ||L w - lambda w||_inf and |w^T b|
     both below 1e-8.
@@ -109,16 +110,18 @@ def pbh_verdict(L, B) -> Verdict:
     Lmat = _check_square(L)
     bf = _as_control(B, Lmat.shape[0]).astype(float)
 
-    for space in eigenspaces(eig_sym(Lmat)):
-        Q = space.basis
-        proj = Q.T @ bf
-        if len(proj) == 1 and abs(proj[0]) > _PBH_TOL:
-            continue
-        witness = Q @ np.linalg.svd(proj[:, None])[0][:, -1:]
-        witness = _fix_signs(witness / np.linalg.norm(witness))[:, 0]
-        return Verdict(controllable=False, method="pbh",
-                       witness=witness, witness_value=space.value)
-    return Verdict(controllable=True, method="pbh")
+    dec = eig_sym(Lmat)
+    cuts = _cluster_cuts(dec.values)
+    covered = (cuts[1:] - cuts[:-1] == 1) & (np.abs(dec.modal.T @ bf)[cuts[:-1]] > _PBH_TOL)
+    if covered.all():
+        return Verdict(controllable=True, method="pbh")
+    first = int(np.argmin(covered))
+    lo, hi = cuts[first], cuts[first + 1]
+    Q = dec.modal[:, lo:hi]
+    witness = Q @ np.linalg.svd((Q.T @ bf)[:, None])[0][:, -1:]
+    witness = _fix_signs(witness / np.linalg.norm(witness))[:, 0]
+    return Verdict(controllable=False, method="pbh", witness=witness,
+                   witness_value=float(np.mean(dec.values[lo:hi])))
 
 
 # ---------------------------------------------------------------------------

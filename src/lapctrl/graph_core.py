@@ -10,6 +10,7 @@ contract of this module, not an accident of construction.
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 from dataclasses import dataclass
@@ -232,11 +233,10 @@ def is_graphical(d) -> bool:
 def laplacian(g: Graph) -> np.ndarray:
     """Laplacian L = D - A as an exact integer array."""
     L = np.zeros((g.n, g.n), dtype=np.int64)
-    for u, v in g.edges:
-        L[u - 1, u - 1] += 1
-        L[v - 1, v - 1] += 1
-        L[u - 1, v - 1] = -1
-        L[v - 1, u - 1] = -1
+    ends = np.fromiter(itertools.chain.from_iterable(g.edges), dtype=np.intp,
+                       count=2 * len(g.edges)).reshape(-1, 2) - 1
+    L[ends[:, 0], ends[:, 1]] = L[ends[:, 1], ends[:, 0]] = -1
+    np.fill_diagonal(L, -L.sum(axis=1))
     return L
 
 

@@ -5,6 +5,10 @@ symmetry check, a fixed sign convention and a residual check. Its output is
 deterministic on one numpy/LAPACK build; across builds it may differ at
 rounding level, and the basis chosen inside a repeated eigenspace is
 LAPACK's. Verdicts depend only on eigenspaces, never on that basis.
+eig_sym remembers the last matrix it decomposed, by content, so PBH and the
+Gramian in one `check --method all` share one eigh; EigDecomp arrays are
+read-only because callers share them. PBH decides every eigenspace cluster
+in one pass over the modal matrix.
 Alongside it live the closed forms this package leans on: the integer
 antiregular spectrum and an all-integer antiregular eigenvector
 construction.
@@ -79,15 +83,25 @@ def _check_symmetric(mat: np.ndarray) -> None:
         raise ValueError("matrix is not symmetric")
 
 
+_last: tuple = ((), None)  # eig_sym's most recent (key, result)
+
+
 def eig_sym(m) -> EigDecomp:
     """Eigendecomposition of a symmetric matrix by LAPACK (numpy.linalg.eigh).
 
     The input must be finite and exactly symmetric. Values come back
     ascending; each modal column is flipped so its largest-magnitude entry
     (lowest index on ties) is positive. A LAPACK failure raises ConvergenceError, as does a
-    residual above 1e-8 * the max row sum of |m|.
+    residual above 1e-8 * the max row sum of |m|. A matrix with the same
+    dtype, shape and bytes as the previous call's gets that call's result
+    back, the same object; its values and modal arrays are read-only.
     """
+    global _last
     raw = _check_square(m)
+    key = raw.dtype.str, raw.shape, raw.tobytes()
+    last_key, last_dec = _last
+    if last_key == key:
+        return last_dec
     _check_symmetric(raw)
 
     a = raw.astype(float)
@@ -101,13 +115,24 @@ def eig_sym(m) -> EigDecomp:
     residual = float(np.max(np.abs(a @ modal - modal * values)))
     if residual > _RESIDUAL_TOL * max(scale, 1e-300):
         raise ConvergenceError(f"eigen-residual {residual:.3e} above 1e-8 * scale")
-    return EigDecomp(values=values, modal=modal)
+    values.setflags(write=False)
+    modal.setflags(write=False)
+    dec = EigDecomp(values=values, modal=modal)
+    _last = key, dec
+    return dec
 
 
 def default_gtol(values: np.ndarray) -> float:
     """Eigenvalue grouping tolerance: 1e-7 * max(1, largest |value|)."""
-    peak = float(np.max(np.abs(values))) if len(values) else 0.0
+    peak = float(np.abs(values).max()) if len(values) else 0.0
     return 1e-7 * max(1.0, peak)
+
+
+def _cluster_cuts(values: np.ndarray) -> np.ndarray:
+    """Bounds of the eigenspaces' clusters: cluster i is values[cuts[i]:cuts[i+1]]."""
+    cut = np.ones(len(values) + 1, dtype=bool)
+    cut[1:-1] = values[1:] - values[:-1] > default_gtol(values)
+    return np.flatnonzero(cut)
 
 
 def eigenspaces(dec: EigDecomp) -> list[Eigenspace]:
@@ -118,7 +143,7 @@ def eigenspaces(dec: EigDecomp) -> list[Eigenspace]:
     modal matrix, whose columns LAPACK already returns orthonormal.
     """
     values = dec.values
-    cuts = np.flatnonzero(np.diff(values, prepend=-np.inf, append=np.inf) > default_gtol(values))
+    cuts = _cluster_cuts(values)
     return [Eigenspace(value=float(np.mean(values[lo:hi])), basis=dec.modal[:, lo:hi])
             for lo, hi in zip(cuts, cuts[1:])]
 

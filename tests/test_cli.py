@@ -9,9 +9,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from lapctrl import graph_to_json, gen_path
+from lapctrl import eig_sym, graph_to_json, gen_path
 from lapctrl.cli import build_parser, main
 from lapctrl.verify import DEFAULT_SEED, SUITES
 
@@ -172,6 +173,20 @@ class TestCheck:
         assert payload["exact"]["controllable"] is False
         assert payload["pbh"]["controllable"] is False
         assert payload["gramian"]["controllable"] is False
+
+    def test_all_methods_share_one_eigendecomposition(self, capsys, monkeypatch, path3_file):
+        eig_sym(np.eye(2))  # so no earlier test's decomposition of L(P3) is remembered
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        code, out, _ = run_cli(capsys, "check", path3_file, "--input", "2", "--method", "all")
+        assert code == 0 and json.loads(out)["agree"] is True
+        assert calls == [(3, 3)]
 
     @pytest.mark.parametrize("vertex", ["1", "2"])
     def test_single_method_matches_its_all_entry(self, capsys, path3_file, vertex):

@@ -18,6 +18,7 @@ from lapctrl import (
     chain_antiregular,
     composite,
     controllable_vertices,
+    default_gtol,
     eig_sym,
     eigenspaces,
     exact_verdict,
@@ -25,6 +26,7 @@ from lapctrl import (
     gen_antiregular,
     gen_complete,
     gen_path,
+    gen_threshold,
     gramian_check,
     input_vector,
     is_connected,
@@ -34,6 +36,7 @@ from lapctrl import (
     random_connected_graph,
     valid_chain_input,
 )
+from lapctrl.spectral import _fix_signs
 from lapctrl.verify import SUITES
 
 
@@ -65,6 +68,46 @@ def _svd_witness(L, b):
             w = -w
         return w + 0.0, space.value
     return None, None
+
+
+def _pbh_reference(L, b):
+    """PBH one eigenspace at a time, the decider's earlier loop with its own
+    gap clustering, kept as the reference its verdicts must match bit for
+    bit: (controllable, witness, witness_value)."""
+    dec = eig_sym(L)
+    values, bf = dec.values, b.reshape(-1).astype(float)
+    cuts = np.flatnonzero(np.diff(values, prepend=-np.inf, append=np.inf) > default_gtol(values))
+    for lo, hi in zip(cuts, cuts[1:]):
+        Q = dec.modal[:, lo:hi]
+        proj = Q.T @ bf
+        if len(proj) == 1 and abs(proj[0]) > 1e-8:
+            continue
+        witness = Q @ np.linalg.svd(proj[:, None])[0][:, -1:]
+        witness = _fix_signs(witness / np.linalg.norm(witness))[:, 0]
+        return False, witness, float(np.mean(values[lo:hi]))
+    return True, None, None
+
+
+def _pbh_reference_cases():
+    """(id, graph) pairs on whose every vertex PBH is checked against
+    _pbh_reference."""
+    rng = random.Random(19)
+    randoms = [random_connected_graph(rng.randint(1, 60), rng) for _ in range(20)]
+    chains = [chain_antiregular(ChainSpec(c=6, k2=6, links=tuple(links)))
+              for links in ("DDDTT", "DTTTT")]
+    composites = [composite(CompositeSpec(structure=gen_antiregular(10), cell=gen_path(10), s=s))
+                  for s in (1, 2, 9, 10)]
+    thresholds = [gen_threshold(word) for word in
+                  ("JJJJ", "UUUUJ", "UJUJUJ", "UUJJUUJJ", "UUUJJJUUUJ", "JUJUUJJJUUJ" * 2)]
+    return [
+        *[(f"P{k}", gen_path(k)) for k in range(1, 41)],
+        *[(f"K{k}", gen_complete(k)) for k in range(1, 41)],
+        *[(f"AR{k}", gen_antiregular(k)) for k in range(2, 41)],
+        *[(f"random{i}-n{g.n}", g) for i, g in enumerate(randoms)],
+        *[(f"threshold-n{g.n}", g) for g in thresholds],
+        *[(f"6xAR6-{i}", g) for i, g in enumerate(chains)],
+        *[(f"AR10(P10)-{i}", g) for i, g in enumerate(composites)],
+    ]
 
 
 def _fraction_free_rank(L, b):
@@ -378,6 +421,18 @@ class TestPBH:
             assert expected is not None and not verdict.controllable
             assert verdict.witness.tobytes() == expected.tobytes(), v
             assert verdict.witness_value == value
+
+    @pytest.mark.parametrize("g", [pytest.param(g, id=name) for name, g in _pbh_reference_cases()])
+    def test_matches_the_eigenspace_loop_at_every_vertex(self, g):
+        L = laplacian(g)
+        for v in range(1, g.n + 1):
+            controllable, witness, value = _pbh_reference(L, _ev(g.n, v))
+            verdict = pbh_verdict(L, _ev(g.n, v))
+            assert verdict.controllable == controllable, v
+            assert verdict.witness_value == value, v
+            assert (verdict.witness is None) == (witness is None), v
+            if witness is not None:
+                assert verdict.witness.tobytes() == witness.tobytes(), v
 
     def test_witness_zero_entries_are_positive_zeros(self):
         rng = random.Random(1)

@@ -12,8 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lapctrl import (
+    ChainSpec,
+    CompositeSpec,
     DegreeSequence,
     Graph,
+    chain_antiregular,
+    composite,
     conjugate,
     degree_sequence,
     gen_antiregular,
@@ -244,7 +248,41 @@ class TestDegreeSequences:
 # Laplacian and connectivity
 # ---------------------------------------------------------------------------
 
+def _laplacian_reference(g):
+    """L = D - A one edge at a time, the earlier assembly kept as the
+    reference the array construction must match."""
+    L = np.zeros((g.n, g.n), dtype=np.int64)
+    for u, v in g.edges:
+        L[u - 1, u - 1] += 1
+        L[v - 1, v - 1] += 1
+        L[u - 1, v - 1] = -1
+        L[v - 1, u - 1] = -1
+    return L
+
+
+def _random_graph(n, rng):
+    """A graph on n vertices with each pair an edge with probability 1/2,
+    connected or not."""
+    return Graph.from_edges(n, [(u, v) for u, v in itertools.combinations(range(1, n + 1), 2)
+                                if rng.random() < 0.5])
+
+
 class TestLaplacian:
+    @pytest.mark.parametrize("g", [
+        gen_path(1), Graph(1, frozenset()), Graph(4, frozenset()), Graph.from_edges(5, [(2, 4)]),
+        *[make(k) for make in (gen_path, gen_antiregular, gen_complete) for k in (2, 3, 9, 30)],
+        *[gen_threshold(word) for word in ("J", "U", "UJUJ", "JJUUJ", "UUUJJJUJ")],
+        composite(CompositeSpec(structure=gen_antiregular(4), cell=gen_path(5), s=2)),
+        chain_antiregular(ChainSpec(c=3, k2=4, links=("D", "T"))),
+        *[random_connected_graph(n, random.Random(n)) for n in range(1, 41, 3)],
+        *[_random_graph(n, random.Random(100 + n)) for n in range(1, 41, 3)],
+    ])
+    def test_matches_the_per_edge_reference(self, g):
+        L = laplacian(g)
+        assert L.dtype == np.int64 and L.flags.c_contiguous
+        assert np.array_equal(L, _laplacian_reference(g))
+
+
     def test_path3_matrix(self):
         expected = np.array([[1, -1, 0], [-1, 2, -1], [0, -1, 1]])
         assert np.array_equal(laplacian(gen_path(3)), expected)

@@ -101,10 +101,55 @@ class TestEigSym:
         assert np.allclose(dec.values, [-1.0, 2.0, 3.0])
 
     def test_repeated_calls_are_identical(self):
+        # another matrix in between, so the second call solves again
         L = laplacian(random_connected_graph(20, random.Random(7)))
-        first, second = eig_sym(L), eig_sym(L)
+        first = eig_sym(L)
+        eig_sym(laplacian(gen_path(4)))
+        second = eig_sym(L)
+        assert second is not first
         assert np.array_equal(first.values, second.values)
         assert np.array_equal(first.modal, second.modal)
+
+    def _count_eigh(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        return calls
+
+    def test_equal_content_is_decomposed_once(self, monkeypatch):
+        L = laplacian(random_connected_graph(12, random.Random(3)))
+        eig_sym(np.eye(2))  # so no earlier test's decomposition of L is remembered
+        calls = self._count_eigh(monkeypatch)
+        dec = eig_sym(L)
+        # a copy, and the transpose's other memory layout, hold the same bytes
+        assert eig_sym(L.copy()) is dec and eig_sym(L.T) is dec
+        assert calls == [(12, 12)]
+        # the same values in another dtype are another matrix
+        assert eig_sym(L.astype(float)) is not dec
+        assert len(calls) == 2
+
+    def test_in_place_change_is_decomposed_afresh(self):
+        L = laplacian(gen_path(4))
+        before = eig_sym(L)
+        L[0, 3] = L[3, 0] = -1  # close the path into a cycle
+        L[0, 0] = L[3, 3] = 2
+        after = eig_sym(L)
+        assert after is not before
+        assert np.allclose(after.values, [0.0, 2.0, 2.0, 4.0], atol=1e-10)
+        assert np.allclose(before.values, 2 - 2 * np.cos(np.arange(4) * np.pi / 4), atol=1e-10)
+
+    def test_arrays_are_read_only(self):
+        dec = eig_sym(laplacian(gen_path(5)))
+        for array in (dec.values, dec.modal):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+        assert not any(space.basis.flags.writeable for space in eigenspaces(dec))
 
     @given(st.integers(min_value=1, max_value=10), st.integers())
     @settings(max_examples=30, deadline=None)
