@@ -247,49 +247,138 @@ def _krylov_mod_stack(Ls: np.ndarray, bs: np.ndarray,
         start, end = end, min(n, 2 * end)
 
 
-def _exact_input(L, B) -> tuple[np.ndarray, np.ndarray]:
-    """(L, b) as int64 arrays, refused unless L is integer within int64."""
+def _exact_matrix(L) -> np.ndarray:
+    """L as int64, refused unless L is integer within int64."""
     Lmat = _check_square(L)
     if Lmat.dtype.kind == "f" and not (Lmat == np.trunc(Lmat)).all():
         raise ValueError("exact rank needs an integer matrix")
-    if not -2**63 <= int(Lmat.min()) <= int(Lmat.max()) < 2**63:
+    # only uint64 and float entries can leave the int64 range
+    if Lmat.dtype.kind in "uf" and not -2**63 <= int(Lmat.min()) <= int(Lmat.max()) < 2**63:
         raise ValueError("exact rank needs an integer matrix with entries in the int64 range")
-    return Lmat.astype(np.int64, copy=False), _as_control(B, Lmat.shape[0])
+    return Lmat.astype(np.int64, copy=False)
 
 
-def _certified_rank(as_int: np.ndarray, b: np.ndarray, first: tuple[int, list[int] | None]) -> int:
-    """The rank over the rationals, given the first prime's (rank, q) mod
-    _prime(0); the bounds and the further primes are kalman_rank_exact's."""
-    n = len(b)
-    best, coeffs, modulus, row_sum = 0, [], 1, None
+def _row_sum(as_int: np.ndarray) -> int:
+    """R, the largest absolute row sum of an int64 matrix, as a Python int."""
+    # int64 sums are exact while no row can reach 2^63
+    wide = len(as_int) * max(-int(as_int.min()), int(as_int.max())) >= 2**63
+    return int(abs(as_int.astype(object) if wide else as_int).sum(axis=1).max())
+
+
+def _horner_zero(Ls: np.ndarray, bs: np.ndarray, lifted: list[list[int]],
+                 row_sums: list[int]) -> np.ndarray:
+    """For each member of a stack of one order, whether q(L) b = 0 over the
+    integers, by Horner's rule in int64; Ls is m-by-n-by-n, bs is m-by-n,
+    and q has the coefficients lifted (constant first, monic, each within
+    int64).
+
+    The coefficients are zero-padded to the longest q, so v stays 0 until a
+    member's own degree. Before each step v -> L v + c b, one reduction
+    over the stack checks R ||v||_inf + max|c| < 2^63, which bounds every
+    partial sum of the step. This sizes the check by the values it meets,
+    not by the a-priori bound sum_k |q_k| R^k, which can be far larger. A
+    member that fails the guard is not decided here (False) and its row is
+    cleared, so no value ever wraps; the run stops once no member is left.
+    """
+    coeffs = np.zeros((len(lifted), max(map(len, lifted))), dtype=np.int64)
+    for row, q in zip(coeffs, lifted):
+        row[:len(q)] = q
+    limits = np.array([(2**63 - 1 - max(map(abs, q))) // max(R, 1)
+                       for q, R in zip(lifted, row_sums)], dtype=np.int64)
+    ok = np.ones(len(lifted), dtype=bool)
+    v = np.zeros_like(bs)
+    for c in coeffs.T[::-1]:
+        fits = abs(v).max(axis=1) <= limits
+        if not fits.all():
+            ok &= fits
+            if not ok.any():
+                return ok
+            v[~fits] = 0
+        v = (Ls @ v[:, :, None])[:, :, 0] + c[:, None] * bs
+    return ok & ~v.any(axis=1)
+
+
+def _certify(pairs: Iterable[tuple]) -> tuple[list[tuple[int, int]], list[int]]:
+    """(rank over the rationals, order) of each distinct (L, b) pair, and
+    each given pair's index among them; see exact_verdicts."""
+    matrices: dict[tuple, int] = {}  # (dtype, shape, bytes) of L -> index in validated
+    validated: list[np.ndarray] = []  # int64 L of each distinct matrix
+    row_sums: dict[int, int] = {}  # R of each distinct matrix, once a pair needs it
+    index: dict[tuple[int, bytes], int] = {}
+    members: list[tuple[int, np.ndarray]] = []  # (matrix index, b)
+    order = []
+    for L, B in pairs:
+        mat = np.asarray(L)
+        key = mat.dtype.str, mat.shape, mat.tobytes()
+        m = matrices.get(key)
+        if m is None:
+            if mat.dtype.kind in _REAL_KINDS:
+                # decide on the key's bytes: the caller's array may change later
+                mat = np.frombuffer(key[2], dtype=mat.dtype).reshape(mat.shape)
+            validated.append(_exact_matrix(mat))
+            m = matrices[key] = len(validated) - 1
+        b = _as_control(B, len(validated[m]))
+        member = m, b.tobytes()
+        if member not in index:
+            index[member] = len(members)
+            members.append((m, b))
+        order.append(index[member])
+
+    ranks: list[int | None] = [None] * len(members)
+    crt = [(0, [], 1)] * len(members)  # (top residue rank, CRT coefficients, modulus)
+    pending = range(len(members))
     for i in itertools.count():
         p = _prime(i)
-        rank, q = _krylov_mod(as_int % p, b, p) if i else first
-        if rank == n:
-            return n
-        if rank < best:
-            continue
-        if rank > best:
-            best, coeffs, modulus = rank, [0] * (rank + 1), 1
-        step = pow(modulus, -1, p)
-        coeffs = [c + modulus * ((x - c) * step % p) for c, x in zip(coeffs, q)]
-        modulus *= p
-        if row_sum is None:
-            # int64 sums are exact while no row can reach 2^63
-            wide = n * max(-int(as_int.min()), int(as_int.max())) >= 2**63
-            row_sum = int(abs(as_int.astype(object) if wide else as_int).sum(axis=1).max())
-        lifted = [c if 2 * c < modulus else c - modulus for c in coeffs]
-        bound = 0
-        for c in reversed(lifted):
-            bound = bound * row_sum + abs(c)
-        if modulus > 2 * bound:
-            return rank
-        if bound < 2**62:
-            v = b  # Horner's rule; every partial sum is at most bound in size
-            for c in reversed(lifted[:-1]):
-                v = as_int @ v + c * b
-            if not v.any():
-                return rank
+        by_order: dict[int, list[int]] = {}
+        for j in pending:
+            by_order.setdefault(len(members[j][1]), []).append(j)
+        candidates: dict[int, list[tuple[int, list[int]]]] = {}
+        for n, group in by_order.items():
+            size = max(1, _STACK_BYTES // (16 * n * n))
+            for k in range(0, len(group), size):
+                chunk = group[k:k + size]
+                if len(chunk) == 1:
+                    m, b = members[chunk[0]]
+                    residues = [_krylov_mod(validated[m] % p, b, p)]
+                else:
+                    Ls = np.stack([validated[members[j][0]] for j in chunk])
+                    Ls %= p
+                    residues = _krylov_mod_stack(Ls, np.stack([members[j][1] for j in chunk]), p)
+                for j, (rank, q) in zip(chunk, residues):
+                    if rank == n:
+                        ranks[j] = n
+                        continue
+                    best, coeffs, modulus = crt[j]
+                    if rank < best:
+                        continue
+                    if rank > best:
+                        best, coeffs, modulus = rank, [0] * (rank + 1), 1
+                    step = pow(modulus, -1, p)
+                    coeffs = [c + modulus * ((x - c) * step % p) for c, x in zip(coeffs, q)]
+                    modulus *= p
+                    crt[j] = best, coeffs, modulus
+                    lifted = [c if 2 * c < modulus else c - modulus for c in coeffs]
+                    m = members[j][0]
+                    if m not in row_sums:
+                        row_sums[m] = _row_sum(validated[m])
+                    bound = 0
+                    for c in reversed(lifted):
+                        bound = bound * row_sums[m] + abs(c)
+                    if modulus > 2 * bound:
+                        ranks[j] = rank
+                    elif max(map(abs, lifted)) < 2**63:
+                        candidates.setdefault(n, []).append((j, lifted))
+        for n, held in candidates.items():
+            ms = [members[j][0] for j, _ in held]
+            zero = _horner_zero(np.stack([validated[m] for m in ms]),
+                                np.stack([members[j][1] for j, _ in held]),
+                                [q for _, q in held], [row_sums[m] for m in ms])
+            for (j, _), certified in zip(held, zero.tolist()):
+                if certified:
+                    ranks[j] = crt[j][0]
+        pending = [j for j in pending if ranks[j] is None]
+        if not pending:
+            return [(rank, len(b)) for rank, (_, b) in zip(ranks, members)], order
 
 
 def kalman_rank_exact(L, B) -> int:
@@ -306,14 +395,14 @@ def kalman_rank_exact(L, B) -> int:
     rank is at most r. With R the largest absolute row sum of L, every
     entry of q(L) b is at most bound = sum_k |q_k| R^k in size, so once M
     exceeds twice that bound q(L) b = 0 over the integers. Below that,
-    while the bound is under 2^62, q(L) b is computed exactly by Horner's
-    rule in int64, so one prime suffices whenever q's coefficients are
-    below half of it. Otherwise another prime joins; a prime with a higher
-    rank restarts the combination.
+    q(L) b is computed by Horner's rule in int64 for as long as each step's
+    values provably stay below 2^63, and a zero decides: one prime suffices
+    whenever q's coefficients are below half of it and its Horner values
+    fit in int64. Otherwise another prime joins; a prime with a higher rank
+    restarts the combination. This is exact_verdicts of the one pair.
     """
-    as_int, b = _exact_input(L, B)
-    p = _prime(0)
-    return _certified_rank(as_int, b, _krylov_mod(as_int % p, b, p))
+    (rank, _), = _certify([(L, B)])[0]
+    return rank
 
 
 def exact_verdict(L, B) -> Verdict:
@@ -326,43 +415,22 @@ def exact_verdict(L, B) -> Verdict:
 def exact_verdicts(pairs: Iterable[tuple]) -> list[Verdict]:
     """exact_verdict for each (L, b) pair, in input order, decided together.
 
-    Every pair is checked as kalman_rank_exact checks it, and each distinct
-    pair (the same int64 L and b) is decided once. Pairs of one order n are
-    stacked, at most _STACK_BYTES of Krylov rows (16 n^2 bytes a member) to
-    a stack, and the first prime runs on the whole stack in one
-    _krylov_mod_stack call; a stack of one runs _krylov_mod itself, which is
-    faster for a single pair. Each member below rank n is then certified as
-    in kalman_rank_exact, with further primes as it needs them.
+    Every pair is checked as kalman_rank_exact checks it, with the same
+    errors in the same order, and each distinct pair is decided once. Each
+    distinct L (by dtype, shape and bytes) is validated and converted to
+    int64 once, and its row sum R is taken once, when a pair first needs
+    it. The certificate then runs in rounds, one prime each: round i runs
+    _prime(i) on every pair still undecided, and the pairs of one order n
+    are stacked, at most _STACK_BYTES of Krylov rows (16 n^2 bytes a pair)
+    to a stack, in one _krylov_mod_stack call; a stack of one runs
+    _krylov_mod itself, which is faster for a single pair. Each residue
+    joins its pair's CRT combination as in kalman_rank_exact, and every q
+    that the CRT bound leaves open in that round is checked by one stacked
+    int64 Horner run per order (_horner_zero). A pair that neither decides
+    waits for the next round's prime.
     """
-    matrices: dict[bytes, bytes] = {}  # one copy of each distinct matrix's bytes
-    index: dict[tuple[bytes, bytes], int] = {}
-    members: list[tuple[np.ndarray, np.ndarray]] = []
-    by_order: dict[int, list[int]] = {}
-    order = []
-    for L, B in pairs:
-        as_int, b = _exact_input(L, B)
-        data = as_int.tobytes()
-        key = matrices.setdefault(data, data), b.tobytes()
-        if key not in index:
-            index[key] = len(members)
-            by_order.setdefault(len(b), []).append(len(members))
-            members.append((np.frombuffer(key[0], dtype=np.int64).reshape(as_int.shape), b))
-        order.append(index[key])
-    p = _prime(0)
-    verdicts: list[Verdict] = [None] * len(members)
-    for n, group in by_order.items():
-        size = max(1, _STACK_BYTES // (16 * n * n))
-        for chunk in (group[i:i + size] for i in range(0, len(group), size)):
-            stack = [members[i] for i in chunk]
-            if len(stack) == 1:
-                firsts = [_krylov_mod(stack[0][0] % p, stack[0][1], p)]
-            else:
-                Ls = np.stack([a for a, _ in stack])
-                Ls %= p
-                firsts = _krylov_mod_stack(Ls, np.stack([b for _, b in stack]), p)
-            for i, (as_int, b), first in zip(chunk, stack, firsts):
-                rank = _certified_rank(as_int, b, first)
-                verdicts[i] = Verdict(controllable=rank == n, method="exact", rank=rank)
+    certified, order = _certify(pairs)
+    verdicts = [Verdict(controllable=rank == n, method="exact", rank=rank) for rank, n in certified]
     return [verdicts[i] for i in order]
 
 

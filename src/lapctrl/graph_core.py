@@ -54,7 +54,8 @@ class Graph:
     edges: frozenset[tuple[int, int]]
 
     def __post_init__(self) -> None:
-        if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 1:
+        object.__setattr__(self, "n", _integer(self.n, "vertex counts"))
+        if self.n < 1:
             raise ValueError(f"vertex count must be a positive integer, got {self.n!r}")
         if not isinstance(self.edges, frozenset):
             object.__setattr__(self, "edges", frozenset(self.edges))

@@ -73,7 +73,7 @@ def _check_square(m) -> np.ndarray:
         raise ValueError(f"expected a nonempty square matrix, got shape {mat.shape}")
     if mat.dtype.kind not in _REAL_KINDS:
         raise ValueError("matrix must be real")
-    if not np.isfinite(mat).all():
+    if mat.dtype.kind == "f" and not np.isfinite(mat).all():
         raise ValueError("matrix has non-finite entries")
     return mat
 

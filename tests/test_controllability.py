@@ -676,15 +676,56 @@ class TestKalmanExact:
             assert kalman_rank_exact(L, _ev(len(L), v)) == rank
             assert runs == [(primes[0], rank)]
 
-    def test_a_large_upper_bound_keeps_the_crt_loop(self, residue_ranks):
+    def test_horner_values_decide_below_a_large_upper_bound(self, residue_ranks):
         # the AR10(P10) composite at vertex 1 has rank 20 and q's largest
         # coefficient is 70488724, more than half of any prime below 2^21, so
-        # no single prime lifts it; with R = 20 the bound is near 20^20,
-        # above 2^62, and the CRT bound decides after five primes
+        # no single prime lifts it; with R = 20 the a-priori bound is near
+        # 2^86, but the values Horner meets fit in int64, so the second prime
+        # decides where the CRT bound alone needs five
         runs, primes = residue_ranks
         spec = CompositeSpec(structure=gen_antiregular(10), cell=gen_path(10), s=1)
         assert kalman_rank_exact(laplacian(composite(spec)), _ev(100, 1)) == 20
-        assert [rank for _, rank in runs] == [20] * 5
+        assert runs == [(primes[0], 20), (primes[1], 20)]
+
+    def test_a_shorter_q_stays_zero_until_its_own_degree(self):
+        # P3 at vertex 2 has the minimal polynomial x(x - 3), so g = x - 3
+        # gives g(L) e_2 = -1: nonzero, but in the kernel of L. In a stack
+        # whose longest q has degree 3 (P3 at vertex 1), g must not pick up
+        # a factor of L from the padding
+        import lapctrl.controllability as ctrl
+        L = laplacian(gen_path(3))
+        bs = np.stack([_ev(3, v).ravel() for v in (2, 2, 1)])
+        zero = ctrl._horner_zero(np.stack([L] * 3), bs, [[-3, 1], [0, -3, 1], [0, 3, -4, 1]],
+                                 [4] * 3)
+        assert zero.tolist() == [False, True, True]
+
+    def test_the_horner_guard_stops_a_step_that_could_wrap(self):
+        # L = diag(0, 2^32), b = (1, 1), q = x^2: q(L) b = (0, 2^64), which
+        # int64 arithmetic would wrap to 0. The guard refuses the step that
+        # could leave int64, so that member stays undecided, and the member
+        # beside it (diag(0, 3) with q = x^2 - 3x, an exact zero) is decided
+        import lapctrl.controllability as ctrl
+        Ls = np.stack([np.diag([0, 2**32]), np.diag([0, 3])])
+        zero = ctrl._horner_zero(Ls, np.ones((2, 2), dtype=np.int64),
+                                 [[0, 0, 1], [0, -3, 1]], [2**32, 3])
+        assert zero.tolist() == [False, True]
+
+    def test_a_large_upper_bound_keeps_the_crt_loop(self, monkeypatch):
+        # 2^40 L(P40) at vertex 8 has rank 38 and R = 2^42, so Horner's
+        # values leave int64 within three steps whatever q is: no prime
+        # passes the step guard, and the CRT bound, near 2^1600, decides
+        import lapctrl.controllability as ctrl
+        ranks = []
+        krylov = ctrl._krylov_mod
+
+        def recording(L, b, p):
+            rank, q = krylov(L, b, p)
+            ranks.append(rank)
+            return rank, q
+
+        monkeypatch.setattr(ctrl, "_krylov_mod", recording)
+        assert kalman_rank_exact(2**40 * laplacian(gen_path(40)), _ev(40, 8)) == 38
+        assert ranks == [38] * 78
 
     def test_low_rank_pair_builds_few_rows(self):
         # K_n at a vertex has rank 2 (q = x^2 - n x); the kernel builds one
@@ -812,7 +853,8 @@ class TestExactVerdicts:
             return single(L, b, p)
 
         def stack_recording(Ls, bs, p):
-            calls.append(("stack", [(L.tobytes(), b.tobytes()) for L, b in zip(Ls, bs)]))
+            if p == ctrl._prime(0):
+                calls.append(("stack", [(L.tobytes(), b.tobytes()) for L, b in zip(Ls, bs)]))
             return stacked(Ls, bs, p)
 
         monkeypatch.setattr(ctrl, "_krylov_mod", single_recording)
@@ -869,6 +911,87 @@ class TestExactVerdicts:
         exact_verdicts([(L, _ev(40, v)) for v in range(1, 26)] + [(L[:3, :3], _ev(3, 1))])
         assert [(kernel, len(call)) for kernel, call in first_prime_members] == [
             ("stack", 10), ("stack", 10), ("stack", 5), ("single", 1)]
+
+    @pytest.fixture
+    def kernel_calls(self, monkeypatch):
+        """(prime, order, member count) of each Krylov kernel call, a single
+        _krylov_mod run counting as one member, and the members that each
+        stacked Horner check decided, as a list of booleans per call."""
+        import lapctrl.controllability as ctrl
+        krylov, horner = [], []
+        single, stacked, zero = ctrl._krylov_mod, ctrl._krylov_mod_stack, ctrl._horner_zero
+
+        def single_recording(L, b, p):
+            krylov.append((p, len(b), 1))
+            return single(L, b, p)
+
+        def stack_recording(Ls, bs, p):
+            krylov.append((p, bs.shape[1], len(bs)))
+            return stacked(Ls, bs, p)
+
+        def horner_recording(*args):
+            decided = zero(*args)
+            horner.append(decided.tolist())
+            return decided
+
+        monkeypatch.setattr(ctrl, "_krylov_mod", single_recording)
+        monkeypatch.setattr(ctrl, "_krylov_mod_stack", stack_recording)
+        monkeypatch.setattr(ctrl, "_horner_zero", horner_recording)
+        return krylov, horner
+
+    def test_each_later_prime_runs_one_stack_per_order(self, kernel_calls):
+        # AR10(P10) at vertices 1, 2 and 3 takes two primes each; 10^9 L(P9)
+        # at vertices 2, 5 and 8 and 10^9 L(P6) at vertices 2 and 5 take 8 to
+        # 13. Round i runs prime i on the pairs of each order that one-pair
+        # calls show still need it, in stacks of the byte budget: one stack
+        # of each path order, and at order 100 (16 * 100^2 bytes a member)
+        # one pair per run
+        import lapctrl.controllability as ctrl
+        krylov, _ = kernel_calls
+        spec = CompositeSpec(structure=gen_antiregular(10), cell=gen_path(10), s=1)
+        composite_L = laplacian(composite(spec))
+        pairs = [(composite_L, _ev(100, v)) for v in (1, 2, 3)]
+        pairs += [(10**9 * laplacian(gen_path(9)), _ev(9, v)) for v in (2, 5, 8)]
+        pairs += [(10**9 * laplacian(gen_path(6)), _ev(6, v)) for v in (2, 5)]
+        primes_needed = []
+        for L, b in pairs:
+            krylov.clear()
+            kalman_rank_exact(L, b)
+            primes_needed.append(len(krylov))
+        assert min(primes_needed) >= 2
+        krylov.clear()
+        verdicts = exact_verdicts(pairs)
+        expected = []
+        for i in range(max(primes_needed)):
+            for n in (100, 9, 6):
+                pending = sum(need > i for (L, _), need in zip(pairs, primes_needed) if len(L) == n)
+                size = max(1, ctrl._STACK_BYTES // (16 * n * n))
+                expected += [(ctrl._prime(i), n, min(size, pending - k))
+                             for k in range(0, pending, size)]
+        assert krylov == expected
+        assert [v.rank for v in verdicts] == [_fraction_free_rank(L, b) for L, b in pairs]
+
+    def test_a_horner_overflow_waits_beside_pairs_decided_at_once(self, kernel_calls):
+        # one batch of order 40: 2^40 L(P40) at vertex 8, whose Horner values
+        # leave int64 (R = 2^42); L(P40) at vertex 8, certified by Horner at
+        # the third prime; AR40 at vertices 2 and 3, certified by Horner at
+        # the first; K40 at vertex 1, by the CRT bound at the first; and P40
+        # at vertex 1, of full rank. The first round's one Horner run holds
+        # all four q that the CRT bound leaves open, and decides the AR40 pairs
+        import lapctrl.controllability as ctrl
+        krylov, horner = kernel_calls
+        path = laplacian(gen_path(40))
+        pairs = [(2**40 * path, _ev(40, 8)), (laplacian(gen_antiregular(40)), _ev(40, 2)),
+                 (path, _ev(40, 8)), (laplacian(gen_complete(40)), _ev(40, 1)),
+                 (laplacian(gen_antiregular(40)), _ev(40, 3)), (path, _ev(40, 1))]
+        verdicts = exact_verdicts(pairs)
+        assert [v.rank for v in verdicts] == [_fraction_free_rank(L, b) for L, b in pairs]
+        # from the fourth prime on, the overflowing q's coefficients leave
+        # int64, so it takes no Horner run
+        assert horner == [[False, True, False, True], [False, False], [False, True]]
+        assert krylov[:3] == [(ctrl._prime(0), 40, 6), (ctrl._prime(1), 40, 2),
+                              (ctrl._prime(2), 40, 2)]
+        assert krylov[3:] == [(ctrl._prime(i), 40, 1) for i in range(3, 78)]
 
     @pytest.mark.parametrize("L, b", [
         (1.5 * laplacian(gen_path(3)), _ev(3, 1)),

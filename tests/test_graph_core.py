@@ -73,6 +73,16 @@ class TestGraph:
         with pytest.raises(ValueError, match="True"):
             Graph(2, frozenset({(True, 2)}))
 
+    def test_numpy_integer_vertex_count_becomes_a_python_int(self):
+        g = Graph.from_edges(np.int64(3), [(1, 2), (2, 3)])
+        assert g == gen_path(3) and type(g.n) is int
+        assert type(Graph(np.uint8(2), frozenset()).n) is int
+
+    @pytest.mark.parametrize("n", [True, 3.0, "3"])
+    def test_non_integer_vertex_count_is_rejected(self, n):
+        with pytest.raises(ValueError, match=f"vertex counts must be integers, got {n!r}"):
+            Graph.from_edges(n, [(1, 2)])
+
     def test_numpy_integer_labels_become_python_ints(self):
         g = Graph.from_edges(3, [(np.int64(2), np.uint8(1))])
         assert g.edges == {(1, 2)}
