@@ -265,37 +265,63 @@ def _row_sum(as_int: np.ndarray) -> int:
     return int(abs(as_int.astype(object) if wide else as_int).sum(axis=1).max())
 
 
-def _horner_zero(Ls: np.ndarray, bs: np.ndarray, lifted: list[list[int]],
-                 row_sums: list[int]) -> np.ndarray:
-    """For each member of a stack of one order, whether q(L) b = 0 over the
-    integers, by Horner's rule in int64; Ls is m-by-n-by-n, bs is m-by-n,
-    and q has the coefficients lifted (constant first, monic, each within
-    int64).
+def _horner_zero(Ls: list[np.ndarray], row_sums: dict[int, int],
+                 members: list[tuple[int, np.ndarray, list[int]]]) -> np.ndarray:
+    """For each member (m, b, q), whether q(Ls[m]) b = 0 over the integers,
+    by Horner's rule in int64; Ls are int64 matrices of one order n with
+    largest absolute row sums row_sums, and q has the coefficients lifted
+    (constant first, monic, each within int64).
 
-    The coefficients are zero-padded to the longest q, so v stays 0 until a
-    member's own degree. Before each step v -> L v + c b, one reduction
-    over the stack checks R ||v||_inf + max|c| < 2^63, which bounds every
-    partial sum of the step. This sizes the check by the values it meets,
-    not by the a-priori bound sum_k |q_k| R^k, which can be far larger. A
-    member that fails the guard is not decided here (False) and its row is
-    cleared, so no value ever wraps; the run stops once no member is left.
+    The members of one matrix are its columns: each step is one product
+    L V, so a matrix is never copied per member. Matrices are stacked, the
+    one with the most members first, while the stack holds at most
+    _STACK_BYTES of matrices and columns; a matrix that fills the budget
+    alone runs unstacked. Coefficients and columns are zero-padded, so v
+    stays 0 until a member's own degree. Before each step v -> L v + c b,
+    one reduction over the stack checks R ||v||_inf + max|c| < 2^63 for
+    every column, which bounds every partial sum of the step. This sizes
+    the check by the values it meets, not by the a-priori bound
+    sum_k |q_k| R^k, which can be far larger. A member that fails the
+    guard is not decided here (False) and its column is cleared, so no
+    value ever wraps; a stack stops once no member is left.
     """
-    coeffs = np.zeros((len(lifted), max(map(len, lifted))), dtype=np.int64)
-    for row, q in zip(coeffs, lifted):
-        row[:len(q)] = q
-    limits = np.array([(2**63 - 1 - max(map(abs, q))) // max(R, 1)
-                       for q, R in zip(lifted, row_sums)], dtype=np.int64)
-    ok = np.ones(len(lifted), dtype=bool)
-    v = np.zeros_like(bs)
-    for c in coeffs.T[::-1]:
-        fits = abs(v).max(axis=1) <= limits
-        if not fits.all():
-            ok &= fits
-            if not ok.any():
-                return ok
-            v[~fits] = 0
-        v = (Ls @ v[:, :, None])[:, :, 0] + c[:, None] * bs
-    return ok & ~v.any(axis=1)
+    n = len(members[0][1])
+    columns: dict[int, list[int]] = {}  # matrix -> its members' positions
+    for i, (m, _, _) in enumerate(members):
+        columns.setdefault(m, []).append(i)
+    groups = sorted(columns.items(), key=lambda group: -len(group[1]))
+    zero = np.zeros(len(members), dtype=bool)
+    while groups:
+        k = len(groups[0][1])
+        size = max(1, _STACK_BYTES // (8 * n * (n + k)))
+        stack, groups = groups[:size], groups[size:]
+        degree = max(len(members[i][2]) for _, cols in stack for i in cols)
+        bs = np.zeros((len(stack), n, k), dtype=np.int64)
+        coeffs = np.zeros((degree, len(stack), k), dtype=np.int64)
+        limits = np.zeros((len(stack), k), dtype=np.int64)
+        ok = np.zeros((len(stack), k), dtype=bool)  # False on padding
+        for s, (m, cols) in enumerate(stack):
+            ok[s, :len(cols)] = True
+            for c, i in enumerate(cols):
+                _, b, q = members[i]
+                bs[s, :, c] = b
+                coeffs[:len(q), s, c] = q
+                limits[s, c] = (2**63 - 1 - max(map(abs, q))) // max(row_sums[m], 1)
+        Lstack = Ls[stack[0][0]][None] if len(stack) == 1 else np.stack([Ls[m] for m, _ in stack])
+        v = np.zeros_like(bs)
+        for c in coeffs[::-1]:
+            fits = abs(v).max(axis=1) <= limits
+            if not fits.all():
+                ok &= fits
+                if not ok.any():
+                    break
+                v *= fits[:, None, :]
+            v = Lstack @ v + c[:, None, :] * bs
+        else:
+            ok &= ~v.any(axis=1)
+        for s, (_, cols) in enumerate(stack):
+            zero[cols] = ok[s, :len(cols)]
+    return zero
 
 
 def _certify(pairs: Iterable[tuple]) -> tuple[list[tuple[int, int]], list[int]]:
@@ -369,10 +395,8 @@ def _certify(pairs: Iterable[tuple]) -> tuple[list[tuple[int, int]], list[int]]:
                     elif max(map(abs, lifted)) < 2**63:
                         candidates.setdefault(n, []).append((j, lifted))
         for n, held in candidates.items():
-            ms = [members[j][0] for j, _ in held]
-            zero = _horner_zero(np.stack([validated[m] for m in ms]),
-                                np.stack([members[j][1] for j, _ in held]),
-                                [q for _, q in held], [row_sums[m] for m in ms])
+            zero = _horner_zero(validated, row_sums,
+                                [(members[j][0], members[j][1], q) for j, q in held])
             for (j, _), certified in zip(held, zero.tolist()):
                 if certified:
                     ranks[j] = crt[j][0]
@@ -425,9 +449,10 @@ def exact_verdicts(pairs: Iterable[tuple]) -> list[Verdict]:
     to a stack, in one _krylov_mod_stack call; a stack of one runs
     _krylov_mod itself, which is faster for a single pair. Each residue
     joins its pair's CRT combination as in kalman_rank_exact, and every q
-    that the CRT bound leaves open in that round is checked by one stacked
-    int64 Horner run per order (_horner_zero). A pair that neither decides
-    waits for the next round's prime.
+    that the CRT bound leaves open in that round is checked by one int64
+    Horner call per order (_horner_zero), where the pairs of one L are the
+    columns of one product, so no L is copied per pair. A pair that neither
+    decides waits for the next round's prime.
     """
     certified, order = _certify(pairs)
     verdicts = [Verdict(controllable=rank == n, method="exact", rank=rank) for rank, n in certified]

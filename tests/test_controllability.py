@@ -694,9 +694,9 @@ class TestKalmanExact:
         # a factor of L from the padding
         import lapctrl.controllability as ctrl
         L = laplacian(gen_path(3))
-        bs = np.stack([_ev(3, v).ravel() for v in (2, 2, 1)])
-        zero = ctrl._horner_zero(np.stack([L] * 3), bs, [[-3, 1], [0, -3, 1], [0, 3, -4, 1]],
-                                 [4] * 3)
+        members = [(0, _ev(3, v).ravel(), q)
+                   for v, q in ((2, [-3, 1]), (2, [0, -3, 1]), (1, [0, 3, -4, 1]))]
+        zero = ctrl._horner_zero([L], {0: 4}, members)
         assert zero.tolist() == [False, True, True]
 
     def test_the_horner_guard_stops_a_step_that_could_wrap(self):
@@ -705,9 +705,9 @@ class TestKalmanExact:
         # could leave int64, so that member stays undecided, and the member
         # beside it (diag(0, 3) with q = x^2 - 3x, an exact zero) is decided
         import lapctrl.controllability as ctrl
-        Ls = np.stack([np.diag([0, 2**32]), np.diag([0, 3])])
-        zero = ctrl._horner_zero(Ls, np.ones((2, 2), dtype=np.int64),
-                                 [[0, 0, 1], [0, -3, 1]], [2**32, 3])
+        Ls = [np.diag([0, 2**32]), np.diag([0, 3])]
+        b = np.ones(2, dtype=np.int64)
+        zero = ctrl._horner_zero(Ls, {0: 2**32, 1: 3}, [(0, b, [0, 0, 1]), (1, b, [0, -3, 1])])
         assert zero.tolist() == [False, True]
 
     def test_a_large_upper_bound_keeps_the_crt_loop(self, monkeypatch):
@@ -992,6 +992,25 @@ class TestExactVerdicts:
         assert krylov[:3] == [(ctrl._prime(0), 40, 6), (ctrl._prime(1), 40, 2),
                               (ctrl._prime(2), 40, 2)]
         assert krylov[3:] == [(ctrl._prime(i), 40, 1) for i in range(3, 78)]
+
+    def test_horner_holds_a_shared_matrix_once(self, kernel_calls):
+        # 2^10 L(K128) has q = x^2 - 2^17 x and R = 2^18 * 127, so the CRT
+        # bound leaves every vertex to Horner in the first round. The 128
+        # members run as columns of the one matrix: a copy of it per member
+        # would take 16 MiB
+        import tracemalloc
+        _, horner = kernel_calls
+        L = 2**10 * laplacian(gen_complete(128))
+        pairs = [(L, _ev(128, v)) for v in range(1, 129)]
+        tracemalloc.start()
+        try:
+            verdicts = exact_verdicts(pairs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [v.rank for v in verdicts] == [2] * 128
+        assert horner == [[True] * 128]
+        assert peak < 4 * 2**20
 
     @pytest.mark.parametrize("L, b", [
         (1.5 * laplacian(gen_path(3)), _ev(3, 1)),
