@@ -265,25 +265,22 @@ def _row_sum(as_int: np.ndarray) -> int:
     return int(abs(as_int.astype(object) if wide else as_int).sum(axis=1).max())
 
 
-def _horner_zero(Ls: list[np.ndarray], row_sums: dict[int, int],
+def _horner_zero(Ls: list[np.ndarray],
                  members: list[tuple[int, np.ndarray, list[int]]]) -> np.ndarray:
-    """For each member (m, b, q), whether q(Ls[m]) b = 0 over the integers,
-    by Horner's rule in int64; Ls are int64 matrices of one order n with
-    largest absolute row sums row_sums, and q has the coefficients lifted
-    (constant first, monic, each within int64).
+    """For each member (m, b, q), whether q(Ls[m]) b = 0 mod 2^64, by one
+    run of Horner's rule in wrapping uint64 arithmetic; Ls are int64
+    matrices of one order n, and q has the coefficients lifted (constant
+    first, monic, any size).
 
     The members of one matrix are its columns: each step is one product
     L V, so a matrix is never copied per member. Matrices are stacked, the
     one with the most members first, while the stack holds at most
     _STACK_BYTES of matrices and columns; a matrix that fills the budget
     alone runs unstacked. Coefficients and columns are zero-padded, so v
-    stays 0 until a member's own degree. Before each step v -> L v + c b,
-    one reduction over the stack checks R ||v||_inf + max|c| < 2^63 for
-    every column, which bounds every partial sum of the step. This sizes
-    the check by the values it meets, not by the a-priori bound
-    sum_k |q_k| R^k, which can be far larger. A member that fails the
-    guard is not decided here (False) and its column is cleared, so no
-    value ever wraps; a stack stops once no member is left.
+    stays 0 until a member's own degree. Each L is read as uint64 through
+    a view and each coefficient is taken mod 2^64; unsigned products and
+    sums wrap, which is exact arithmetic mod 2^64, so no step is checked
+    and every member runs to the end.
     """
     n = len(members[0][1])
     columns: dict[int, list[int]] = {}  # matrix -> its members' positions
@@ -296,31 +293,20 @@ def _horner_zero(Ls: list[np.ndarray], row_sums: dict[int, int],
         size = max(1, _STACK_BYTES // (8 * n * (n + k)))
         stack, groups = groups[:size], groups[size:]
         degree = max(len(members[i][2]) for _, cols in stack for i in cols)
-        bs = np.zeros((len(stack), n, k), dtype=np.int64)
-        coeffs = np.zeros((degree, len(stack), k), dtype=np.int64)
-        limits = np.zeros((len(stack), k), dtype=np.int64)
-        ok = np.zeros((len(stack), k), dtype=bool)  # False on padding
-        for s, (m, cols) in enumerate(stack):
-            ok[s, :len(cols)] = True
+        bs = np.zeros((len(stack), n, k), dtype=np.uint64)
+        coeffs = np.zeros((degree, len(stack), k), dtype=np.uint64)
+        for s, (_, cols) in enumerate(stack):
             for c, i in enumerate(cols):
                 _, b, q = members[i]
                 bs[s, :, c] = b
-                coeffs[:len(q), s, c] = q
-                limits[s, c] = (2**63 - 1 - max(map(abs, q))) // max(row_sums[m], 1)
+                coeffs[:len(q), s, c] = [x % 2**64 for x in q]
         Lstack = Ls[stack[0][0]][None] if len(stack) == 1 else np.stack([Ls[m] for m, _ in stack])
+        Lstack = Lstack.view(np.uint64)
         v = np.zeros_like(bs)
         for c in coeffs[::-1]:
-            fits = abs(v).max(axis=1) <= limits
-            if not fits.all():
-                ok &= fits
-                if not ok.any():
-                    break
-                v *= fits[:, None, :]
             v = Lstack @ v + c[:, None, :] * bs
-        else:
-            ok &= ~v.any(axis=1)
         for s, (_, cols) in enumerate(stack):
-            zero[cols] = ok[s, :len(cols)]
+            zero[cols] = ~v[s, :, :len(cols)].any(axis=0)
     return zero
 
 
@@ -392,11 +378,10 @@ def _certify(pairs: Iterable[tuple]) -> tuple[list[tuple[int, int]], list[int]]:
                         bound = bound * row_sums[m] + abs(c)
                     if modulus > 2 * bound:
                         ranks[j] = rank
-                    elif max(map(abs, lifted)) < 2**63:
+                    elif modulus << 64 > 2 * bound:
                         candidates.setdefault(n, []).append((j, lifted))
         for n, held in candidates.items():
-            zero = _horner_zero(validated, row_sums,
-                                [(members[j][0], members[j][1], q) for j, q in held])
+            zero = _horner_zero(validated, [(members[j][0], members[j][1], q) for j, q in held])
             for (j, _), certified in zip(held, zero.tolist()):
                 if certified:
                     ranks[j] = crt[j][0]
@@ -417,13 +402,12 @@ def kalman_rank_exact(L, B) -> int:
     CRT into one q with symmetric residues, and q(L) b = 0 mod M. Any monic
     integer q of degree r with q(L) b = 0 over the integers shows that the
     rank is at most r. With R the largest absolute row sum of L, every
-    entry of q(L) b is at most bound = sum_k |q_k| R^k in size, so once M
-    exceeds twice that bound q(L) b = 0 over the integers. Below that,
-    q(L) b is computed by Horner's rule in int64 for as long as each step's
-    values provably stay below 2^63, and a zero decides: one prime suffices
-    whenever q's coefficients are below half of it and its Horner values
-    fit in int64. Otherwise another prime joins; a prime with a higher rank
-    restarts the combination. This is exact_verdicts of the one pair.
+    entry of q(L) b is at most bound = sum_k |q_k| R^k in size, and 2^64
+    is coprime to M, so q(L) b = 0 over the integers once M 2^64 > 2 bound
+    and q(L) b = 0 mod 2^64. One run of Horner's rule in wrapping uint64
+    checks the latter, skipped when M > 2 bound already decides. Otherwise
+    another prime joins; a prime with a higher rank restarts the
+    combination. This is exact_verdicts of the one pair.
     """
     (rank, _), = _certify([(L, B)])[0]
     return rank
@@ -448,11 +432,11 @@ def exact_verdicts(pairs: Iterable[tuple]) -> list[Verdict]:
     are stacked, at most _STACK_BYTES of Krylov rows (16 n^2 bytes a pair)
     to a stack, in one _krylov_mod_stack call; a stack of one runs
     _krylov_mod itself, which is faster for a single pair. Each residue
-    joins its pair's CRT combination as in kalman_rank_exact, and every q
-    that the CRT bound leaves open in that round is checked by one int64
-    Horner call per order (_horner_zero), where the pairs of one L are the
-    columns of one product, so no L is copied per pair. A pair that neither
-    decides waits for the next round's prime.
+    joins its pair's CRT combination as in kalman_rank_exact. Every q that
+    needs a Horner run in that round (M <= 2 bound < M 2^64) is checked by
+    one uint64 Horner call per order (_horner_zero), where the pairs of one
+    L are the columns of one product, so no L is copied per pair. A pair
+    that neither decides waits for the next round's prime.
     """
     certified, order = _certify(pairs)
     verdicts = [Verdict(controllable=rank == n, method="exact", rank=rank) for rank, n in certified]

@@ -680,8 +680,8 @@ class TestKalmanExact:
         # the AR10(P10) composite at vertex 1 has rank 20 and q's largest
         # coefficient is 70488724, more than half of any prime below 2^21, so
         # no single prime lifts it; with R = 20 the a-priori bound is near
-        # 2^86, but the values Horner meets fit in int64, so the second prime
-        # decides where the CRT bound alone needs five
+        # 2^89, so M 2^64 passes twice the bound at the second prime, whose
+        # one uint64 Horner run decides where the CRT bound alone needs five
         runs, primes = residue_ranks
         spec = CompositeSpec(structure=gen_antiregular(10), cell=gen_path(10), s=1)
         assert kalman_rank_exact(laplacian(composite(spec)), _ev(100, 1)) == 20
@@ -696,24 +696,43 @@ class TestKalmanExact:
         L = laplacian(gen_path(3))
         members = [(0, _ev(3, v).ravel(), q)
                    for v, q in ((2, [-3, 1]), (2, [0, -3, 1]), (1, [0, 3, -4, 1]))]
-        zero = ctrl._horner_zero([L], {0: 4}, members)
+        zero = ctrl._horner_zero([L], members)
         assert zero.tolist() == [False, True, True]
 
-    def test_the_horner_guard_stops_a_step_that_could_wrap(self):
+    def test_horner_reports_a_wrapped_zero_as_zero(self):
         # L = diag(0, 2^32), b = (1, 1), q = x^2: q(L) b = (0, 2^64), which
-        # int64 arithmetic would wrap to 0. The guard refuses the step that
-        # could leave int64, so that member stays undecided, and the member
-        # beside it (diag(0, 3) with q = x^2 - 3x, an exact zero) is decided
+        # the uint64 run wraps to 0, and it says so: the check is q(L) b = 0
+        # mod 2^64, not over the integers. Such a zero certifies a pair only
+        # beside q(L) b = 0 mod M and M 2^64 > 2 sum |q_k| R^k; here q(L) b
+        # is not 0 mod any odd M. Beside it, diag(0, 3) with q = x^2 - 3x is
+        # an exact zero, and with q = x^2 gives (0, 9), not 0 mod 2^64
         import lapctrl.controllability as ctrl
         Ls = [np.diag([0, 2**32]), np.diag([0, 3])]
         b = np.ones(2, dtype=np.int64)
-        zero = ctrl._horner_zero(Ls, {0: 2**32, 1: 3}, [(0, b, [0, 0, 1]), (1, b, [0, -3, 1])])
-        assert zero.tolist() == [False, True]
+        zero = ctrl._horner_zero(Ls, [(0, b, [0, 0, 1]), (1, b, [0, -3, 1]), (1, b, [0, 0, 1])])
+        assert zero.tolist() == [True, True, False]
+
+    def test_a_wrapped_zero_alone_certifies_nothing(self):
+        # L e_1 = 2^43 e_2 and L e_2 = 2^21 p e_3 for the first prime p, so
+        # L^2 e_1 = 2^64 p e_3: 0 mod p and 0 mod 2^64, but not 0. The first
+        # prime sees rank 2 with q = x^2, whose uint64 Horner run gives 0;
+        # the inequality M 2^64 > 2 R^2 = 2^87 refuses it, as M 2^64 = p 2^64
+        # is near 2^85, and the second prime sees the full rank
+        import lapctrl.controllability as ctrl
+        p = ctrl._prime(0)
+        L = np.zeros((3, 3), dtype=np.int64)
+        L[1, 0], L[2, 1] = 2**43, 2**21 * p
+        b = np.array([1, 0, 0])
+        assert ctrl._krylov_mod(L % p, b, p) == (2, [0, 0, 1])
+        assert ctrl._horner_zero([L], [(0, b, [0, 0, 1])]).tolist() == [True]
+        assert kalman_rank_exact(L, b) == 3
 
     def test_a_large_upper_bound_keeps_the_crt_loop(self, monkeypatch):
-        # 2^40 L(P40) at vertex 8 has rank 38 and R = 2^42, so Horner's
-        # values leave int64 within three steps whatever q is: no prime
-        # passes the step guard, and the CRT bound, near 2^1600, decides
+        # 2^40 L(P40) at vertex 8 has rank 38 and R = 2^42, so the bound
+        # sum |q_k| R^k is near 2^1616. The primes run until M 2^64 passes
+        # twice it, where one uint64 Horner run decides: 74 primes, where M
+        # alone needs 78, as 2^64 is worth three 21-bit primes and M at the
+        # 77th falls short of twice the bound by less than one bit
         import lapctrl.controllability as ctrl
         ranks = []
         krylov = ctrl._krylov_mod
@@ -725,7 +744,7 @@ class TestKalmanExact:
 
         monkeypatch.setattr(ctrl, "_krylov_mod", recording)
         assert kalman_rank_exact(2**40 * laplacian(gen_path(40)), _ev(40, 8)) == 38
-        assert ranks == [38] * 78
+        assert ranks == [38] * 74
 
     def test_low_rank_pair_builds_few_rows(self):
         # K_n at a vertex has rank 2 (q = x^2 - n x); the kernel builds one
@@ -836,6 +855,25 @@ class TestExactMetamorphic:
         for S in sets:
             b = _ev(k, *S)
             assert kalman_rank_exact(Lc, b) == kalman_rank_exact(L, b), S
+
+    @given(st.integers(min_value=2, max_value=12),
+           st.sampled_from(["path", "antiregular", "complete", "random"]), st.integers())
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    def test_a_power_of_two_scale_keeps_the_rank(self, k, family, seed):
+        # c L has the eigenspaces of L, so every input keeps its rank. With
+        # c = 2^j the bound sum |q_k| R^k grows by about 2^(j r), so the
+        # scales walk the certificate across both of its edges, M > 2 bound
+        # and M 2^64 > 2 bound, where a wrapping uint64 Horner run decides;
+        # j is capped so that c L stays within int64
+        gens = {"path": gen_path, "antiregular": gen_antiregular, "complete": gen_complete,
+                "random": lambda k: random_connected_graph(k, random.Random(seed))}
+        L = laplacian(gens[family](k))
+        for v in range(1, k + 1):
+            b = _ev(k, v)
+            rank = kalman_rank_exact(L, b)
+            for j in (0, 20, 21, 31, 32, 41, 42):
+                if 2**j * int(L.max()) < 2**63:
+                    assert kalman_rank_exact(2**j * L, b) == rank, (v, j)
 
 
 class TestExactVerdicts:
@@ -972,12 +1010,12 @@ class TestExactVerdicts:
         assert [v.rank for v in verdicts] == [_fraction_free_rank(L, b) for L, b in pairs]
 
     def test_a_horner_overflow_waits_beside_pairs_decided_at_once(self, kernel_calls):
-        # one batch of order 40: 2^40 L(P40) at vertex 8, whose Horner values
-        # leave int64 (R = 2^42); L(P40) at vertex 8, certified by Horner at
-        # the third prime; AR40 at vertices 2 and 3, certified by Horner at
-        # the first; K40 at vertex 1, by the CRT bound at the first; and P40
-        # at vertex 1, of full rank. The first round's one Horner run holds
-        # all four q that the CRT bound leaves open, and decides the AR40 pairs
+        # one batch of order 40: 2^40 L(P40) at vertex 8, whose bound (R =
+        # 2^42) waits for the 74th prime; L(P40) at vertex 8, certified by
+        # Horner at the third prime; AR40 at vertices 2 and 3, certified by
+        # Horner at the first; K40 at vertex 1, by the CRT bound at the first;
+        # and P40 at vertex 1, of full rank. The first round's one Horner run
+        # holds the two AR40 q, the only ones with M 2^64 past twice the bound
         import lapctrl.controllability as ctrl
         krylov, horner = kernel_calls
         path = laplacian(gen_path(40))
@@ -986,12 +1024,12 @@ class TestExactVerdicts:
                  (laplacian(gen_antiregular(40)), _ev(40, 3)), (path, _ev(40, 1))]
         verdicts = exact_verdicts(pairs)
         assert [v.rank for v in verdicts] == [_fraction_free_rank(L, b) for L, b in pairs]
-        # from the fourth prime on, the overflowing q's coefficients leave
-        # int64, so it takes no Horner run
-        assert horner == [[False, True, False, True], [False, False], [False, True]]
+        # L(P40) at vertex 8 meets Horner at the second and third primes, and
+        # 2^40 L(P40) at vertex 8 only at the last
+        assert horner == [[True, True], [False], [True], [True]]
         assert krylov[:3] == [(ctrl._prime(0), 40, 6), (ctrl._prime(1), 40, 2),
                               (ctrl._prime(2), 40, 2)]
-        assert krylov[3:] == [(ctrl._prime(i), 40, 1) for i in range(3, 78)]
+        assert krylov[3:] == [(ctrl._prime(i), 40, 1) for i in range(3, 74)]
 
     def test_horner_holds_a_shared_matrix_once(self, kernel_calls):
         # 2^10 L(K128) has q = x^2 - 2^17 x and R = 2^18 * 127, so the CRT
