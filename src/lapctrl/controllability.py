@@ -144,7 +144,7 @@ def _prime(i: int) -> int:
 
 
 _FIRST_BLOCK = 16  # Krylov rows built before the first elimination step
-_STACK_BYTES = 1 << 18  # Krylov rows of one stack of pairs that exact_verdicts decides together
+_STACK_BYTES = 1 << 21  # powers x_k of a stack of pairs; matrices and columns of a Horner run
 
 
 def _krylov_mod(L: np.ndarray, b: np.ndarray, p: int) -> tuple[int, list[int] | None]:
@@ -193,58 +193,75 @@ def _krylov_mod(L: np.ndarray, b: np.ndarray, p: int) -> tuple[int, list[int] | 
         start, end = end, min(n, 2 * end)
 
 
-def _krylov_mod_stack(Ls: np.ndarray, bs: np.ndarray,
-                      p: int) -> list[tuple[int, list[int] | None]]:
-    """_krylov_mod on m pairs of one order at once: Ls is m-by-n-by-n with
-    entries in [0, p), bs is m-by-n.
+def _balance(x: np.ndarray, p: int) -> np.ndarray:
+    """Integer float64 x, below 2^52 in size, as residues mod p within p/2 + 1 of 0."""
+    t = x * (1 / p)
+    x -= np.rint(t, out=t) * p
+    return x
 
-    Every member takes the same steps as in _krylov_mod, with a leading
-    stack axis on each array: the same doubling blocks, the same delayed
-    reduction and the same Gauss-Jordan updates. A member leaves the stack
-    when its row reduces to zero, so each gets exactly the (rank, q) that
-    _krylov_mod gives it. Returned in stack order.
-    """
-    m, n = bs.shape
-    out: list = [None] * m
-    live = each = np.arange(m)  # live[i]: the stack position of the member in rows[i]
-    rows = np.zeros((m, n, 2 * n), dtype=np.int64)
-    pivots = np.zeros((m, n), dtype=np.intp)
-    inverses = np.zeros((m, n), dtype=np.int64)
-    v = bs
-    start, end = 0, min(n, _FIRST_BLOCK)
-    while True:
-        for k in range(start, end):
-            rows[:, k, :n] = v
-            rows[:, k, n + k] = 1
-            v = (Ls @ v[:, :, None])[:, :, 0] % p
-        if start:
-            rows[:, :start] %= p
-            block = rows[:, start:end]
-            at_pivots = np.take_along_axis(block, pivots[:, None, :start], axis=2)
-            block -= (at_pivots * inverses[:, None, :start] % p) @ rows[:, :start]
-        for r in range(start, end):
-            rows[:, r] %= p
-            pos = pivots[:, r] = rows[:, r, :n].argmax(axis=1)
-            values = rows[each, r, pos]
-            done = values == 0
-            if done.any():
-                for i in done.nonzero()[0]:
-                    out[live[i]] = r, rows[i, r, n:n + r + 1].tolist()
-                if done.all():
-                    return out
-                keep = ~done
-                live, Ls, rows, pivots, inverses, v, pos, values = (
-                    a[keep] for a in (live, Ls, rows, pivots, inverses, v, pos, values))
-                each = np.arange(len(live))
-            inverses[:, r] = [pow(x, -1, p) for x in values.tolist()]
-            multipliers = rows[each, :end, pos] % p * inverses[:, r, None] % p
-            multipliers[:, r] = 0
-            rows[:, :end] -= multipliers[:, :, None] * rows[:, r, None, :]
-        if end == n:
-            for i in live:
-                out[i] = n, None
-            return out
-        start, end = end, min(n, 2 * end)
+
+def _minpoly_mod(Ls: list[np.ndarray], members: list[tuple[int, np.ndarray]],
+                 p: int) -> list[tuple[int, list[int] | None]]:
+    """_krylov_mod(Ls[m] % p, b, p) for each member (m, b), found together
+    from the sequences b^T L^k b mod p, as exact_verdicts describes. The
+    members of one L are the rows of one product x_k+1^T = x_k^T L."""
+    out: list = [None] * len(members)
+    by_order: dict[int, dict[int, list[int]]] = {}
+    for i, (m, b) in enumerate(members):
+        by_order.setdefault(len(b), {}).setdefault(m, []).append(i)
+    # Berlekamp-Massey without inverses, a column per member, shortest order
+    # first; a member of an L not symmetric mod p keeps s = 0. C holds its
+    # coefficients highest degree first in rows up to top, so C . s is a
+    # dot product with a window of s; B is kept times x by a moving window
+    orders = np.sort([len(b) for _, b in members])
+    top = int(orders[-1])
+    seqs, C, B = (np.zeros((rows, len(orders))) for rows in (2 * top, 2 * top + 1, 3 * top))
+    C[top] = B[top - 1] = 1
+    beta, length = np.ones(len(orders)), np.zeros(len(orders), dtype=np.intp)
+    runs = []  # (columns, n, members, x_0 ... x_n by row, each member's row) per order
+    for n in sorted(by_order):
+        stack = np.stack([Ls[m] for m in by_order[n]]) % p
+        symmetric = (stack == stack.transpose(0, 2, 1)).all(axis=(1, 2))
+        groups = itertools.compress(by_order[n].values(), symmetric)
+        slots = [(g, c, i) for g, cols in enumerate(groups) for c, i in enumerate(cols)]
+        if slots:
+            g, c, i = np.array(slots).T
+            x = np.zeros((n + 1, g[-1] + 1, c.max() + 1, n))
+            x[0, g, c] = [members[j][1] for j in i]
+            mats = stack[symmetric].astype(np.float64)
+            for k in range(n):
+                _balance(np.matmul(x[k], mats, out=x[k + 1]), p)
+            rows, x = g * x.shape[2] + c, x.reshape(n + 1, -1, n)
+            cols = slice(np.searchsorted(orders, n), np.searchsorted(orders, n) + len(i))
+            seqs[:2 * n:2, cols] = np.einsum("kij,kij->ki", x[:n], x[:n])[:, rows]
+            seqs[1:2 * n:2, cols] = np.einsum("kij,kij->ki", x[:n], x[1:])[:, rows]
+            runs.append((cols, n, i, x, rows))
+    _balance(seqs, p)
+    span = 0  # the largest length among live members
+    for k, a in enumerate(np.searchsorted(orders, np.arange(2 * top) // 2, side="right").tolist()):
+        Cv, Bv, Lv = C[:top + 1, a:], B[k:k + top + 1, a:], length[a:]
+        d = _balance(np.einsum("ij,ij->j", Cv[top - span:], seqs[k - span:k + 1, a:]), p)
+        grow = np.logical_and(d, Lv <= k // 2)
+        np.subtract(k + 1, Lv, out=Lv, where=grow)
+        span = int(Lv.max(initial=0))
+        dB = Bv[top - span:] * d
+        np.copyto(Bv, Cv, where=grow)
+        Cv[top - span:] *= beta[a:]
+        Cv[top - span:] -= dB
+        _balance(Cv[top - span:], p)
+        np.copyto(beta[a:], d, where=grow)
+
+    for cols, n, i, x, rows in runs:
+        degree = length[cols]
+        f = np.take_along_axis(C[:, cols], top - degree + np.arange(n + 1)[:, None], axis=0)
+        coeffs = np.zeros(x.shape[:2])
+        coeffs[:, rows] = f  # f_j = C_{L-j}
+        zero = ~_balance(np.einsum("kij,ki->ij", x, coeffs), p)[rows].any(axis=1)
+        inverses = np.array([pow(int(v), -1, p) for v in C[top, cols].tolist()], dtype=np.int64)
+        q = f.T.astype(np.int64) * inverses[:, None] % p
+        for j, r, ok, qj in zip(i.tolist(), degree.tolist(), zero.tolist(), q.tolist()):
+            out[j] = (n, None) if r == n else (r, qj[:r + 1]) if ok else None
+    return [_krylov_mod(Ls[m] % p, b, p) if o is None else o for o, (m, b) in zip(out, members)]
 
 
 def _exact_matrix(L) -> np.ndarray:
@@ -338,48 +355,42 @@ def _certify(pairs: Iterable[tuple]) -> tuple[list[tuple[int, int]], list[int]]:
 
     ranks: list[int | None] = [None] * len(members)
     crt = [(0, [], 1)] * len(members)  # (top residue rank, CRT coefficients, modulus)
-    pending = range(len(members))
+    pending = list(range(len(members)))
     for i in itertools.count():
         p = _prime(i)
-        by_order: dict[int, list[int]] = {}
-        for j in pending:
-            by_order.setdefault(len(members[j][1]), []).append(j)
+        pending.sort(key=lambda j: len(members[j][1]))
+        held = itertools.accumulate(8 * n * (n + 1) for n in (len(members[j][1]) for j in pending))
+        residues = []
+        for _, group in itertools.groupby(zip(held, pending), lambda item: item[0] // _STACK_BYTES):
+            stack = [members[j] for _, j in group]
+            residues += (_minpoly_mod(validated, stack, p) if stack[1:]
+                         else [_krylov_mod(validated[stack[0][0]] % p, stack[0][1], p)])
         candidates: dict[int, list[tuple[int, list[int]]]] = {}
-        for n, group in by_order.items():
-            size = max(1, _STACK_BYTES // (16 * n * n))
-            for k in range(0, len(group), size):
-                chunk = group[k:k + size]
-                if len(chunk) == 1:
-                    m, b = members[chunk[0]]
-                    residues = [_krylov_mod(validated[m] % p, b, p)]
-                else:
-                    Ls = np.stack([validated[members[j][0]] for j in chunk])
-                    Ls %= p
-                    residues = _krylov_mod_stack(Ls, np.stack([members[j][1] for j in chunk]), p)
-                for j, (rank, q) in zip(chunk, residues):
-                    if rank == n:
-                        ranks[j] = n
-                        continue
-                    best, coeffs, modulus = crt[j]
-                    if rank < best:
-                        continue
-                    if rank > best:
-                        best, coeffs, modulus = rank, [0] * (rank + 1), 1
-                    step = pow(modulus, -1, p)
-                    coeffs = [c + modulus * ((x - c) * step % p) for c, x in zip(coeffs, q)]
-                    modulus *= p
-                    crt[j] = best, coeffs, modulus
-                    lifted = [c if 2 * c < modulus else c - modulus for c in coeffs]
-                    m = members[j][0]
-                    if m not in row_sums:
-                        row_sums[m] = _row_sum(validated[m])
-                    bound = 0
-                    for c in reversed(lifted):
-                        bound = bound * row_sums[m] + abs(c)
-                    if modulus > 2 * bound:
-                        ranks[j] = rank
-                    elif modulus << 64 > 2 * bound:
-                        candidates.setdefault(n, []).append((j, lifted))
+        for j, (rank, q) in zip(pending, residues):
+            m, b = members[j]
+            n = len(b)
+            if rank == n:
+                ranks[j] = n
+                continue
+            best, coeffs, modulus = crt[j]
+            if rank < best:
+                continue
+            if rank > best:
+                best, coeffs, modulus = rank, [0] * (rank + 1), 1
+            step = pow(modulus, -1, p)
+            coeffs = [c + modulus * ((x - c) * step % p) for c, x in zip(coeffs, q)]
+            modulus *= p
+            crt[j] = best, coeffs, modulus
+            lifted = [c if 2 * c < modulus else c - modulus for c in coeffs]
+            if m not in row_sums:
+                row_sums[m] = _row_sum(validated[m])
+            bound = 0
+            for c in reversed(lifted):
+                bound = bound * row_sums[m] + abs(c)
+            if modulus > 2 * bound:
+                ranks[j] = rank
+            elif modulus << 64 > 2 * bound:
+                candidates.setdefault(n, []).append((j, lifted))
         for n, held in candidates.items():
             zero = _horner_zero(validated, [(members[j][0], members[j][1], q) for j, q in held])
             for (j, _), certified in zip(held, zero.tolist()):
@@ -395,19 +406,19 @@ def kalman_rank_exact(L, B) -> int:
 
     The Krylov chain runs modulo descending primes below 2^21, and the
     answer is certified by two bounds, so no outcome rests on probability.
-    Lower bound: a rank mod p never exceeds the rank over the rationals,
-    so a rank of n mod any prime returns n at once. Upper bound: the
-    primes that reach the largest residue rank r each give the monic q_p
-    of degree r with q_p(L) b = 0 mod p; their product M combines them by
-    CRT into one q with symmetric residues, and q(L) b = 0 mod M. Any monic
-    integer q of degree r with q(L) b = 0 over the integers shows that the
-    rank is at most r. With R the largest absolute row sum of L, every
-    entry of q(L) b is at most bound = sum_k |q_k| R^k in size, and 2^64
-    is coprime to M, so q(L) b = 0 over the integers once M 2^64 > 2 bound
-    and q(L) b = 0 mod 2^64. One run of Horner's rule in wrapping uint64
-    checks the latter, skipped when M > 2 bound already decides. Otherwise
-    another prime joins; a prime with a higher rank restarts the
-    combination. This is exact_verdicts of the one pair.
+    Lower bound: a rank mod p never exceeds the rank over the rationals, so
+    a rank of n mod any prime returns n at once. Upper bound: the primes
+    that reach the largest residue rank r each give the monic q_p of degree
+    r with q_p(L) b = 0 mod p; their product M combines them by CRT into
+    one q with symmetric residues, and q(L) b = 0 mod M. Any monic integer
+    q of degree r with q(L) b = 0 over the integers shows that the rank is
+    at most r. With R the largest absolute row sum of L, every entry of
+    q(L) b is at most bound = sum_k |q_k| R^k in size, and 2^64 is coprime
+    to M, so q(L) b = 0 over the integers once M 2^64 > 2 bound and q(L) b
+    = 0 mod 2^64. One run of Horner's rule in wrapping uint64 checks the
+    latter, skipped when M > 2 bound already decides. Otherwise another
+    prime joins; a higher rank restarts the combination. This is
+    exact_verdicts of the one pair, which also tells how a stack finds q_p.
     """
     (rank, _), = _certify([(L, B)])[0]
     return rank
@@ -427,16 +438,22 @@ def exact_verdicts(pairs: Iterable[tuple]) -> list[Verdict]:
     errors in the same order, and each distinct pair is decided once. Each
     distinct L (by dtype, shape and bytes) is validated and converted to
     int64 once, and its row sum R is taken once, when a pair first needs
-    it. The certificate then runs in rounds, one prime each: round i runs
-    _prime(i) on every pair still undecided, and the pairs of one order n
-    are stacked, at most _STACK_BYTES of Krylov rows (16 n^2 bytes a pair)
-    to a stack, in one _krylov_mod_stack call; a stack of one runs
-    _krylov_mod itself, which is faster for a single pair. Each residue
-    joins its pair's CRT combination as in kalman_rank_exact. Every q that
-    needs a Horner run in that round (M <= 2 bound < M 2^64) is checked by
-    one uint64 Horner call per order (_horner_zero), where the pairs of one
-    L are the columns of one product, so no L is copied per pair. A pair
-    that neither decides waits for the next round's prime.
+    it. The certificate runs in rounds: round i takes p = _prime(i) to the
+    pairs still undecided, sorted by order and cut into stacks where their
+    running total of powers, 8 n (n + 1) bytes a pair, passes a multiple of
+    _STACK_BYTES. A stack of one runs _krylov_mod; a larger one, always
+    below order 512, builds x_k = L^k b, k <= n, by one float64 product a
+    step for the pairs of one L, with residues of least size, exact while
+    n (p - 1)^2 < 2^53. For L = L^T mod p, s_2k = x_k . x_k and s_2k+1 =
+    x_k . x_k+1 are b^T L^k b mod p, and one Berlekamp-Massey run over the
+    stack (Wiedemann 1986) finds the minimal polynomial f of each pair's 2n
+    terms. f divides q_p: degree n is rank n, and a lower degree is taken
+    as q_p only when f(L) b = 0 mod p, as q_p then divides f. Any other
+    pair, and each pair whose L is not symmetric mod p, runs _krylov_mod.
+    Residues join the CRT combinations as in kalman_rank_exact, and the q
+    that need a Horner run (M <= 2 bound < M 2^64) take one uint64
+    _horner_zero call per order, the pairs of one L as the columns of one
+    product. A pair that neither decides waits for the next round's prime.
     """
     certified, order = _certify(pairs)
     verdicts = [Verdict(controllable=rank == n, method="exact", rank=rank) for rank, n in certified]

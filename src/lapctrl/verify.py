@@ -15,7 +15,7 @@ from .graph_core import (Graph, conjugate, degree_sequence, gen_antiregular,
                          gen_complete, gen_path, laplacian,
                          random_connected_graph)
 from .spectral import check_majorization, eig_sym
-from .controllability import controllable_vertices, exact_verdicts, input_vector
+from .controllability import exact_verdicts, input_vector
 from .compose import (ChainSpec, CompositeSpec, OutOfSupport, append_path,
                       chain_antiregular, composite, path_split_controllable,
                       predict_composite, valid_chain_input)
@@ -68,7 +68,9 @@ def verify_composite() -> list[dict]:
     of those structure positions, which theorem4's oracle calls decide.
     """
     graphs = _family_graphs()
-    controlling = {name: sorted(controllable_vertices(g)) for name, g in graphs}
+    blind = _blind([(laplacian(g), range(1, g.n + 1)) for _, g in graphs])
+    controlling = {name: [v for v in range(1, g.n + 1) if v not in out]
+                   for (name, g), out in zip(graphs, blind)}
     runs = [(CompositeSpec(structure=struct, cell=cell, s=s), cell_name, struct_name)
             for cell_name, cell in graphs for s in controlling[cell_name]
             for struct_name, struct in graphs]
@@ -167,9 +169,10 @@ def verify_lemma7() -> list[dict]:
         for link in "DT":
             spec = ChainSpec(c=2, k2=k2, links=(link,))
             hosts.append((f"chain c=2 k2={k2} links={link}", chain_antiregular(spec)))
+    blind = _blind([(laplacian(g), range(1, g.n + 1)) for _, g in hosts])
     names, claims = [], []
-    for name, g in hosts:
-        for v in sorted(controllable_vertices(g)):
+    for (name, g), out in zip(hosts, blind):
+        for v in sorted(set(range(1, g.n + 1)) - set(out)):
             for m in range(1, 6):
                 appended = append_path(g, v, m)
                 names.append(f"lemma7 {name} v={v} m={m}")

@@ -605,24 +605,114 @@ class TestKalmanExact:
             g = random_connected_graph(rng.randint(2, 60), rng)
             cases.append((g, {1, (g.n + 1) // 2, g.n}))
         ranks = set()
-        stacks = {}  # order -> (L, b) of every case, for the stacked kernel
         for g, vertices in cases:
             L = laplacian(g)
             for v in vertices:
                 b = _ev(g.n, v).ravel()
-                stacks.setdefault(g.n, []).append((L, b))
                 for p in (ctrl._prime(0), ctrl._prime(7)):
                     result = ctrl._krylov_mod(L % p, b, p)
                     assert result == _krylov_mod_reference(L % p, b, p), (g, v, p)
                     ranks.add(result[0])
         assert {16, 17, 32, 33, 40} <= ranks
-        # the stacked kernel, member by member: its members leave the stack
-        # at different ranks, full rank included
-        for n, pairs in stacks.items():
-            for p in (ctrl._prime(0), ctrl._prime(7)):
-                Ls = np.stack([L % p for L, _ in pairs])
-                result = ctrl._krylov_mod_stack(Ls, np.stack([b for _, b in pairs]), p)
-                assert result == [_krylov_mod_reference(L % p, b, p) for L, b in pairs], (n, p)
+
+    @pytest.fixture
+    def elimination_runs(self, monkeypatch):
+        """(matrix bytes, order) of each _krylov_mod run."""
+        import lapctrl.controllability as ctrl
+        runs = []
+        krylov = ctrl._krylov_mod
+
+        def recording(L, b, p):
+            runs.append((L.tobytes(), len(b)))
+            return krylov(L, b, p)
+
+        monkeypatch.setattr(ctrl, "_krylov_mod", recording)
+        return runs
+
+    def test_stacked_kernel_matches_the_reference_kernel(self, elimination_runs):
+        # one _minpoly_mod call holds every order at once: P, K and AR of
+        # orders 2..40 at every vertex, random graphs up to order 60 at
+        # random inputs, and integer matrices that are not symmetric, which
+        # run _krylov_mod. Every member must match the reference pair by
+        # pair, also at small primes, where a sequence misses q_p more often
+        # and the elimination decides it; the reference is slow, so those
+        # primes take the family orders up to 24 only
+        import lapctrl.controllability as ctrl
+        rng = random.Random(23)
+        Ls, families, others = [], [], []
+        for g in [fn(k) for k in range(2, 41) for fn in (gen_path, gen_complete, gen_antiregular)]:
+            Ls.append(laplacian(g))
+            families += [(len(Ls) - 1, _ev(g.n, v).ravel()) for v in range(1, g.n + 1)]
+        for _ in range(12):
+            g = random_connected_graph(rng.randint(2, 60), rng)
+            Ls.append(laplacian(g))
+            inputs = [rng.sample(range(1, g.n + 1), rng.randint(1, 3)) for _ in range(4)]
+            others += [(len(Ls) - 1, _ev(g.n, *vs).ravel()) for vs in inputs]
+        for _ in range(6):
+            k = rng.randint(2, 12)
+            Ls.append(np.array([[rng.randint(-3, 3) for _ in range(k)] for _ in range(k)]))
+            others += [(len(Ls) - 1, _ev(k, v).ravel()) for v in range(1, k + 1)]
+        asymmetric = sum(not np.array_equal(Ls[m], Ls[m].T) for m, _ in others)
+        members = families + others
+        small = [(m, b) for m, b in families if len(b) <= 24] + others
+        rng.shuffle(members)
+        runs = {}
+        for p, stack in ((ctrl._prime(0), members), (ctrl._prime(7), small), (101, small),
+                         (13, small)):
+            elimination_runs.clear()
+            result = ctrl._minpoly_mod(Ls, stack, p)
+            assert result == [_krylov_mod_reference(Ls[m] % p, b, p) for m, b in stack], p
+            runs[p] = len(elimination_runs)
+            if p == ctrl._prime(0):
+                assert {2, 39, 40} <= {rank for rank, _ in result}
+        assert runs[ctrl._prime(0)] == asymmetric > 0
+        assert runs[13] > asymmetric
+
+    def test_a_sequence_that_misses_q_runs_the_elimination(self, elimination_runs):
+        # L e_1 = u e_2 + v e_3 + w e_4 with u^2 + v^2 + w^2 = 2 p for the
+        # first prime p, so x_1 = L e_1 has x_1 . x_1 = 0 and L x_1 = 0 mod p:
+        # the sequence b^T L^k b is 1, 0, 0, ..., whose f = x leaves L e_1 =
+        # x_1, not 0. So f is refused and _krylov_mod finds q_p = x^2 beside a
+        # path pair of the same stack, which the sequence decides. Over the
+        # rationals q = x^2 - 2p, of rank 2, which the second prime gives
+        import lapctrl.controllability as ctrl
+        p = ctrl._prime(0)
+        L = np.zeros((4, 4), dtype=np.int64)
+        L[0, 1:] = L[1:, 0] = 2038, 201, 21
+        assert 2038**2 + 201**2 + 21**2 == 2 * p
+        path = laplacian(gen_path(3))
+        b = _ev(4, 1).ravel()
+        assert ctrl._minpoly_mod([L, path], [(0, b), (1, _ev(3, 1).ravel())], p) == [
+            (2, [0, 0, 1]), (3, None)]
+        assert elimination_runs == [((L % p).tobytes(), 4)]
+        # in exact_verdicts: the fallback in the first round's stack, then
+        # the pair alone at the second prime
+        elimination_runs.clear()
+        verdicts = exact_verdicts([(L, b), (path, _ev(3, 1))])
+        assert [n for _, n in elimination_runs] == [4, 4]
+        assert verdicts == [exact_verdict(L, b), exact_verdict(path, _ev(3, 1))]
+        assert verdicts[0].rank == _fraction_free_rank(L, b) == 2
+        # the same at 101 = 10^2 + 1^2 on a 3 x 3 matrix
+        small = np.array([[0, 1, 10], [1, 0, 0], [10, 0, 0]])
+        elimination_runs.clear()
+        b2 = _ev(3, 2).ravel()
+        assert ctrl._minpoly_mod([small, path], [(0, _ev(3, 1).ravel()), (1, b2)], 101) == [
+            (2, [0, 0, 1]), _krylov_mod_reference(path, b2, 101)]
+        assert [n for _, n in elimination_runs] == [3]
+
+    def test_a_matrix_that_is_not_symmetric_runs_the_elimination(self, elimination_runs):
+        # L e_1 = e_2 and L e_2 = 0 give b^T L^k b = 1, 0, 0, ... at b = e_1,
+        # whose minimal polynomial x is not q = x^2 of rank 2; and x_1 . x_1
+        # = 1 is not b^T L^2 b = 0, as the sequence needs L = L^T. So inside
+        # a stack the pair runs _krylov_mod, which gives the full rank
+        import lapctrl.controllability as ctrl
+        L = np.array([[0, 0], [1, 0]])
+        path = laplacian(gen_path(2))
+        p = ctrl._prime(0)
+        assert ctrl._minpoly_mod([L, path], [(0, _ev(2, 1).ravel()), (1, _ev(2, 1).ravel())],
+                                 p) == [(2, None), (2, None)]
+        assert elimination_runs == [(L.tobytes(), 2)]
+        assert exact_verdicts([(L, _ev(2, 1)), (path, _ev(2, 1))])[0].rank == 2
 
     @pytest.fixture
     def residue_ranks(self, monkeypatch):
@@ -879,24 +969,25 @@ class TestExactMetamorphic:
 class TestExactVerdicts:
     @pytest.fixture
     def first_prime_members(self, monkeypatch):
-        """(kernel, pairs) for each first-prime kernel call: a stack's members,
-        or the one pair of a single _krylov_mod run."""
+        """(kernel, pairs) for each first-prime kernel call: a stack's members
+        in one _minpoly_mod call, or the one pair of a _krylov_mod run; each
+        pair as the bytes of L mod p and of b."""
         import lapctrl.controllability as ctrl
         calls = []
-        single, stacked = ctrl._krylov_mod, ctrl._krylov_mod_stack
+        single, stacked = ctrl._krylov_mod, ctrl._minpoly_mod
 
         def single_recording(L, b, p):
             if p == ctrl._prime(0):
                 calls.append(("single", [(L.tobytes(), b.tobytes())]))
             return single(L, b, p)
 
-        def stack_recording(Ls, bs, p):
+        def stack_recording(Ls, members, p):
             if p == ctrl._prime(0):
-                calls.append(("stack", [(L.tobytes(), b.tobytes()) for L, b in zip(Ls, bs)]))
-            return stacked(Ls, bs, p)
+                calls.append(("stack", [((Ls[m] % p).tobytes(), b.tobytes()) for m, b in members]))
+            return stacked(Ls, members, p)
 
         monkeypatch.setattr(ctrl, "_krylov_mod", single_recording)
-        monkeypatch.setattr(ctrl, "_krylov_mod_stack", stack_recording)
+        monkeypatch.setattr(ctrl, "_minpoly_mod", stack_recording)
         return calls
 
     def test_matches_exact_verdict_on_mixed_orders(self):
@@ -941,31 +1032,36 @@ class TestExactVerdicts:
         assert [v.rank for v in verdicts[:6]] == [kalman_rank_exact(L, b) for L, b in pairs[:6]]
 
     def test_a_stack_over_the_byte_budget_is_split(self, first_prime_members):
-        # a member of order 40 holds 16 * 40^2 bytes of Krylov rows, so ten
-        # fit in the budget; a lone pair of another order runs _krylov_mod
+        # pairs are sorted by order, across orders, and cut where their
+        # running total of powers passes a multiple of the budget: a pair of
+        # order 3 and ten of order 160 (8 * 160 * 161 bytes each) stay below
+        # it, the next ten below twice it, and the last pair, a stack of
+        # one, runs _krylov_mod
         import lapctrl.controllability as ctrl
-        assert ctrl._STACK_BYTES // (16 * 40 * 40) == 10
-        L = laplacian(gen_path(40))
-        exact_verdicts([(L, _ev(40, v)) for v in range(1, 26)] + [(L[:3, :3], _ev(3, 1))])
+        assert ctrl._STACK_BYTES // (8 * 160 * 161) == 10
+        L = laplacian(gen_complete(160))
+        pairs = [(L, _ev(160, v)) for v in range(1, 22)] + [(laplacian(gen_path(3)), _ev(3, 1))]
+        verdicts = exact_verdicts(pairs)
         assert [(kernel, len(call)) for kernel, call in first_prime_members] == [
-            ("stack", 10), ("stack", 10), ("stack", 5), ("single", 1)]
+            ("stack", 11), ("stack", 10), ("single", 1)]
+        assert [v.rank for v in verdicts] == [2] * 21 + [3]
 
     @pytest.fixture
     def kernel_calls(self, monkeypatch):
-        """(prime, order, member count) of each Krylov kernel call, a single
-        _krylov_mod run counting as one member, and the members that each
+        """(prime, sorted member orders) of each Krylov kernel call, a single
+        _krylov_mod run holding one member, and the members that each
         stacked Horner check decided, as a list of booleans per call."""
         import lapctrl.controllability as ctrl
         krylov, horner = [], []
-        single, stacked, zero = ctrl._krylov_mod, ctrl._krylov_mod_stack, ctrl._horner_zero
+        single, stacked, zero = ctrl._krylov_mod, ctrl._minpoly_mod, ctrl._horner_zero
 
         def single_recording(L, b, p):
-            krylov.append((p, len(b), 1))
+            krylov.append((p, [len(b)]))
             return single(L, b, p)
 
-        def stack_recording(Ls, bs, p):
-            krylov.append((p, bs.shape[1], len(bs)))
-            return stacked(Ls, bs, p)
+        def stack_recording(Ls, members, p):
+            krylov.append((p, sorted(len(b) for _, b in members)))
+            return stacked(Ls, members, p)
 
         def horner_recording(*args):
             decided = zero(*args)
@@ -973,17 +1069,16 @@ class TestExactVerdicts:
             return decided
 
         monkeypatch.setattr(ctrl, "_krylov_mod", single_recording)
-        monkeypatch.setattr(ctrl, "_krylov_mod_stack", stack_recording)
+        monkeypatch.setattr(ctrl, "_minpoly_mod", stack_recording)
         monkeypatch.setattr(ctrl, "_horner_zero", horner_recording)
         return krylov, horner
 
     def test_each_later_prime_runs_one_stack_per_order(self, kernel_calls):
         # AR10(P10) at vertices 1, 2 and 3 takes two primes each; 10^9 L(P9)
         # at vertices 2, 5 and 8 and 10^9 L(P6) at vertices 2 and 5 take 8 to
-        # 13. Round i runs prime i on the pairs of each order that one-pair
-        # calls show still need it, in stacks of the byte budget: one stack
-        # of each path order, and at order 100 (16 * 100^2 bytes a member)
-        # one pair per run
+        # 13. Round i runs prime i on the pairs that one-pair calls show
+        # still need it, all orders in one stack (eight pairs of order up to
+        # 100 fit in the budget), and a pair left alone runs _krylov_mod
         import lapctrl.controllability as ctrl
         krylov, _ = kernel_calls
         spec = CompositeSpec(structure=gen_antiregular(10), cell=gen_path(10), s=1)
@@ -999,13 +1094,10 @@ class TestExactVerdicts:
         assert min(primes_needed) >= 2
         krylov.clear()
         verdicts = exact_verdicts(pairs)
-        expected = []
-        for i in range(max(primes_needed)):
-            for n in (100, 9, 6):
-                pending = sum(need > i for (L, _), need in zip(pairs, primes_needed) if len(L) == n)
-                size = max(1, ctrl._STACK_BYTES // (16 * n * n))
-                expected += [(ctrl._prime(i), n, min(size, pending - k))
-                             for k in range(0, pending, size)]
+        assert sum(8 * len(L) * (len(L) + 1) for L, _ in pairs) <= ctrl._STACK_BYTES
+        expected = [(ctrl._prime(i), sorted(len(L) for (L, _), need in zip(pairs, primes_needed)
+                                            if need > i))
+                    for i in range(max(primes_needed))]
         assert krylov == expected
         assert [v.rank for v in verdicts] == [_fraction_free_rank(L, b) for L, b in pairs]
 
@@ -1027,9 +1119,9 @@ class TestExactVerdicts:
         # L(P40) at vertex 8 meets Horner at the second and third primes, and
         # 2^40 L(P40) at vertex 8 only at the last
         assert horner == [[True, True], [False], [True], [True]]
-        assert krylov[:3] == [(ctrl._prime(0), 40, 6), (ctrl._prime(1), 40, 2),
-                              (ctrl._prime(2), 40, 2)]
-        assert krylov[3:] == [(ctrl._prime(i), 40, 1) for i in range(3, 74)]
+        assert krylov[:3] == [(ctrl._prime(0), [40] * 6), (ctrl._prime(1), [40] * 2),
+                              (ctrl._prime(2), [40] * 2)]
+        assert krylov[3:] == [(ctrl._prime(i), [40]) for i in range(3, 74)]
 
     def test_horner_holds_a_shared_matrix_once(self, kernel_calls):
         # 2^10 L(K128) has q = x^2 - 2^17 x and R = 2^18 * 127, so the CRT
