@@ -194,7 +194,7 @@ def _krylov_mod(L: np.ndarray, b: np.ndarray, p: int) -> tuple[int, list[int] | 
 
 
 def _balance(x: np.ndarray, p: int) -> np.ndarray:
-    """Integer float64 x, below 2^52 in size, as residues mod p within p/2 + 1 of 0."""
+    """x in place, integer float64 below 2^52 in size, as residues mod p within p/2 + 1 of 0."""
     t = x * (1 / p)
     x -= np.rint(t, out=t) * p
     return x
@@ -355,15 +355,14 @@ def _certify(pairs: Iterable[tuple]) -> tuple[list[tuple[int, int]], list[int]]:
 
     ranks: list[int | None] = [None] * len(members)
     crt = [(0, [], 1)] * len(members)  # (top residue rank, CRT coefficients, modulus)
-    pending = list(range(len(members)))
+    pending = sorted(range(len(members)), key=lambda j: len(members[j][1]))
     for i in itertools.count():
         p = _prime(i)
-        pending.sort(key=lambda j: len(members[j][1]))
         held = itertools.accumulate(8 * n * (n + 1) for n in (len(members[j][1]) for j in pending))
         residues = []
         for _, group in itertools.groupby(zip(held, pending), lambda item: item[0] // _STACK_BYTES):
             stack = [members[j] for _, j in group]
-            residues += (_minpoly_mod(validated, stack, p) if stack[1:]
+            residues += (_minpoly_mod(validated, stack, p) if len(stack) > 1
                          else [_krylov_mod(validated[stack[0][0]] % p, stack[0][1], p)])
         candidates: dict[int, list[tuple[int, list[int]]]] = {}
         for j, (rank, q) in zip(pending, residues):
