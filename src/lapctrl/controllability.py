@@ -67,11 +67,12 @@ class Verdict:
 def input_vector(n: int, vertices: Iterable[int]) -> np.ndarray:
     """Binary n-by-1 input column for one input wired to the given vertices."""
     b = np.zeros((n, 1), dtype=np.int64)
+    v = None
     for v in map(_integer, vertices):
         if not 1 <= v <= n:
             raise ValueError(f"input vertex {v} out of range 1..{n}")
         b[v - 1, 0] = 1
-    if not b.any():
+    if v is None:
         raise ValueError("an input must attach to at least one vertex")
     return b
 
@@ -83,9 +84,11 @@ def _as_control(b, n: int) -> np.ndarray:
         raise ValueError(f"input must be a length-{n} vector or an {n}x1 column, "
                          f"got shape {mat.shape}")
     mat = mat.reshape(n)
-    if mat.dtype.kind not in _REAL_KINDS or not ((mat == 0) | (mat == 1)).all():
+    # the entries are 0 or 1 iff each nonzero one equals 1; NaN is nonzero
+    real = mat.dtype.kind in _REAL_KINDS
+    if not real or (ones := np.count_nonzero(mat == 1)) != np.count_nonzero(mat):
         raise ValueError("input entries must be 0 or 1")
-    if not mat.any():
+    if not ones:
         raise ValueError("input must have at least one nonzero entry")
     return mat.astype(np.int64)
 
@@ -227,12 +230,18 @@ def _minpoly_mod(Ls: list[np.ndarray], members: list[tuple[int, np.ndarray]],
         if slots:
             g, c, i = np.array(slots).T
             x = np.zeros((n + 1, g[-1] + 1, c.max() + 1, n))
-            x[0, g, c] = [members[j][1] for j in i]
-            mats = stack[symmetric].astype(np.float64)
-            for k in range(n):
-                _balance(np.matmul(x[k], mats, out=x[k + 1]), p)
+            x[0, g, c] = np.stack([members[j][1] for j in i])
+            mats = _balance(stack[symmetric].astype(np.float64), p)
+            # lag products take a reduced x_k to at most (p/2 + 1) R^lag, R the largest
+            # absolute column sum of mats: each block of lag powers is reduced once
+            R = int(np.abs(mats).sum(axis=1).max())
+            lag = next((j for j in range(1, n) if (p + 2) * R ** (j + 1) >= 2**53), n)
+            for k in range(1, n + 1):
+                np.matmul(x[k - 1], mats, out=x[k])
+                if k % lag == 0 or k == n:
+                    _balance(x[k - (k - 1) % lag:k + 1], p)
             rows, x = g * x.shape[2] + c, x.reshape(n + 1, -1, n)
-            cols = slice(np.searchsorted(orders, n), np.searchsorted(orders, n) + len(i))
+            cols = np.searchsorted(orders, n) + np.arange(len(i))
             seqs[:2 * n:2, cols] = np.einsum("kij,kij->ki", x[:n], x[:n])[:, rows]
             seqs[1:2 * n:2, cols] = np.einsum("kij,kij->ki", x[:n], x[1:])[:, rows]
             runs.append((cols, n, i, x, rows))
@@ -240,7 +249,7 @@ def _minpoly_mod(Ls: list[np.ndarray], members: list[tuple[int, np.ndarray]],
     span = 0  # the largest length among live members
     for k, a in enumerate(np.searchsorted(orders, np.arange(2 * top) // 2, side="right").tolist()):
         Cv, Bv, Lv = C[:top + 1, a:], B[k:k + top + 1, a:], length[a:]
-        d = _balance(np.einsum("ij,ij->j", Cv[top - span:], seqs[k - span:k + 1, a:]), p)
+        d = np.remainder(np.einsum("ij,ij->j", Cv[top - span:], seqs[k - span:k + 1, a:]), p)
         grow = np.logical_and(d, Lv <= k // 2)
         np.subtract(k + 1, Lv, out=Lv, where=grow)
         span = int(Lv.max(initial=0))
@@ -252,15 +261,19 @@ def _minpoly_mod(Ls: list[np.ndarray], members: list[tuple[int, np.ndarray]],
         np.copyto(beta[a:], d, where=grow)
 
     for cols, n, i, x, rows in runs:
+        low = length[cols] < n
+        for j in i[~low].tolist():
+            out[j] = n, None
+        cols, i, rows = cols[low], i[low], rows[low]
         degree = length[cols]
         f = np.take_along_axis(C[:, cols], top - degree + np.arange(n + 1)[:, None], axis=0)
         coeffs = np.zeros(x.shape[:2])
-        coeffs[:, rows] = f  # f_j = C_{L-j}
+        coeffs[:, rows] = f  # f_j = C_{L-j}; x is not copied per member
         zero = ~_balance(np.einsum("kij,ki->ij", x, coeffs), p)[rows].any(axis=1)
         inverses = np.array([pow(int(v), -1, p) for v in C[top, cols].tolist()], dtype=np.int64)
         q = f.T.astype(np.int64) * inverses[:, None] % p
         for j, r, ok, qj in zip(i.tolist(), degree.tolist(), zero.tolist(), q.tolist()):
-            out[j] = (n, None) if r == n else (r, qj[:r + 1]) if ok else None
+            out[j] = (r, qj[:r + 1]) if ok else None
     return [_krylov_mod(Ls[m] % p, b, p) if o is None else o for o, (m, b) in zip(out, members)]
 
 
@@ -336,10 +349,12 @@ def _certify(pairs: Iterable[tuple]) -> tuple[list[tuple[int, int]], list[int]]:
     index: dict[tuple[int, bytes], int] = {}
     members: list[tuple[int, np.ndarray]] = []  # (matrix index, b)
     order = []
+    last = None  # the previous pair's key; pairs that ask about one L tend to come in runs
     for L, B in pairs:
         mat = np.asarray(L)
         key = mat.dtype.str, mat.shape, mat.tobytes()
-        m = matrices.get(key)
+        if key != last:
+            last, m = key, matrices.get(key)
         if m is None:
             if mat.dtype.kind in _REAL_KINDS:
                 # decide on the key's bytes: the caller's array may change later
@@ -375,10 +390,11 @@ def _certify(pairs: Iterable[tuple]) -> tuple[list[tuple[int, int]], list[int]]:
             if rank < best:
                 continue
             if rank > best:
-                best, coeffs, modulus = rank, [0] * (rank + 1), 1
-            step = pow(modulus, -1, p)
-            coeffs = [c + modulus * ((x - c) * step % p) for c, x in zip(coeffs, q)]
-            modulus *= p
+                best, coeffs, modulus = rank, q, p
+            else:
+                step = pow(modulus, -1, p)
+                coeffs = [c + modulus * ((x - c) * step % p) for c, x in zip(coeffs, q)]
+                modulus *= p
             crt[j] = best, coeffs, modulus
             lifted = [c if 2 * c < modulus else c - modulus for c in coeffs]
             if m not in row_sums:
@@ -436,27 +452,33 @@ def exact_verdicts(pairs: Iterable[tuple]) -> list[Verdict]:
     Every pair is checked as kalman_rank_exact checks it, with the same
     errors in the same order, and each distinct pair is decided once. Each
     distinct L (by dtype, shape and bytes) is validated and converted to
-    int64 once, and its row sum R is taken once, when a pair first needs
-    it. The certificate runs in rounds: round i takes p = _prime(i) to the
-    pairs still undecided, sorted by order and cut into stacks where their
-    running total of powers, 8 n (n + 1) bytes a pair, passes a multiple of
-    _STACK_BYTES. A stack of one runs _krylov_mod; a larger one, always
-    below order 512, builds x_k = L^k b, k <= n, by one float64 product a
-    step for the pairs of one L, with residues of least size, exact while
-    n (p - 1)^2 < 2^53. For L = L^T mod p, s_2k = x_k . x_k and s_2k+1 =
-    x_k . x_k+1 are b^T L^k b mod p, and one Berlekamp-Massey run over the
-    stack (Wiedemann 1986) finds the minimal polynomial f of each pair's 2n
-    terms. f divides q_p: degree n is rank n, and a lower degree is taken
-    as q_p only when f(L) b = 0 mod p, as q_p then divides f. Any other
-    pair, and each pair whose L is not symmetric mod p, runs _krylov_mod.
-    Residues join the CRT combinations as in kalman_rank_exact, and the q
-    that need a Horner run (M <= 2 bound < M 2^64) take one uint64
-    _horner_zero call per order, the pairs of one L as the columns of one
-    product. A pair that neither decides waits for the next round's prime.
+    int64 once, and a pair whose L has the previous pair's key takes its
+    index after one comparison; its row sum R is taken once, when a pair
+    first needs it. The certificate runs in rounds: round i takes p =
+    _prime(i) to the pairs still undecided, sorted by order and cut into
+    stacks where their running total of powers, 8 n (n + 1) bytes a pair,
+    passes a multiple of _STACK_BYTES. A stack of one runs _krylov_mod; a
+    larger one, always below order 512, builds x_k = L^k b, k <= n, by one
+    float64 product a step for the pairs of one L. With R the largest
+    absolute column sum of L mod p in residues of least size, the powers
+    are reduced to such residues once every lag products, lag the largest
+    with (p/2 + 1) R^lag < 2^52, so every product is exact. For L = L^T mod
+    p, s_2k = x_k . x_k and s_2k+1 = x_k . x_k+1 are b^T L^k b mod p, and
+    one Berlekamp-Massey run over the stack (Wiedemann 1986) finds the
+    minimal polynomial f of each pair's 2n terms. f divides q_p: degree n
+    is rank n at once, and only a lower degree forms f(L) b, taken as q_p
+    when f(L) b = 0 mod p, as q_p then divides f. Any other pair, and each
+    pair whose L is not symmetric mod p, runs _krylov_mod. Residues join
+    the CRT combinations as in kalman_rank_exact, and the q that need a
+    Horner run (M <= 2 bound < M 2^64) take one uint64 _horner_zero call
+    per order, the pairs of one L as the columns of one product. A pair
+    that neither decides waits for the next round's prime. Pairs of one
+    (rank, n) share one Verdict.
     """
     certified, order = _certify(pairs)
-    verdicts = [Verdict(controllable=rank == n, method="exact", rank=rank) for rank, n in certified]
-    return [verdicts[i] for i in order]
+    shared = {(rank, n): Verdict(controllable=rank == n, method="exact", rank=rank)
+              for rank, n in set(certified)}
+    return [shared[certified[i]] for i in order]
 
 
 def controllable_vertices(g: Graph) -> set[int]:

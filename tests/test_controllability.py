@@ -284,6 +284,29 @@ def _as_array(bad):
     return bad if isinstance(bad, np.ndarray) else np.array(bad, dtype=object)
 
 
+_NOT_BINARY = "input entries must be 0 or 1"
+_ALL_ZERO = "input must have at least one nonzero entry"
+_INPUT_ERRORS = {  # a bad input of order 3 and the one message every decider gives
+    "int 2": (np.array([2, 0, 0]), _NOT_BINARY),
+    "int -1": (np.array([-1, 1, 0]), _NOT_BINARY),
+    "int64 zeros": (np.zeros(3, dtype=np.int64), _ALL_ZERO),
+    "uint8 255": (np.array([255, 1, 0], dtype=np.uint8), _NOT_BINARY),
+    "bool all False": (np.zeros((3, 1), dtype=bool), _ALL_ZERO),
+    "float 0.5": (np.array([0.5, 1.0, 0.0]), _NOT_BINARY),
+    "float nan": (np.array([[math.nan], [1.0], [0.0]]), _NOT_BINARY),
+    "float zeros": (np.zeros(3), _ALL_ZERO),
+    "complex": (np.array([1, 0, 0], dtype=complex), _NOT_BINARY),
+    "object": (np.array([1, 0, 0], dtype=object), _NOT_BINARY),
+    "3x2 holding a 2": (np.array([[2, 0], [0, 0], [0, 0]]),
+                        "input must be a length-3 vector or an 3x1 column, got shape (3, 2)"),
+    "1x3": (np.ones((1, 3), dtype=np.int64),
+            "input must be a length-3 vector or an 3x1 column, got shape (1, 3)"),
+    "length 2": (np.ones(2, dtype=np.int64),
+                 "input must be a length-3 vector or an 3x1 column, got shape (2,)"),
+    "scalar": (np.int64(1), "input must be a length-3 vector or an 3x1 column, got shape ()"),
+}
+
+
 class TestDtypeRule:
     @pytest.mark.parametrize("dtype", _ACCEPTED, ids=lambda t: t.__name__)
     @pytest.mark.parametrize("name", _MATRIX_DECIDERS)
@@ -325,6 +348,26 @@ class TestDtypeRule:
     def test_input_of_rejected_kind(self, name, kind):
         with pytest.raises(ValueError, match="input entries must be 0 or 1"):
             _INPUT_DECIDERS[name](laplacian(gen_path(2)), _as_array(_BAD_INPUTS[kind]))
+
+    @pytest.mark.parametrize("bad", _INPUT_ERRORS)
+    @pytest.mark.parametrize("name", _INPUT_DECIDERS)
+    def test_each_bad_input_gives_its_one_message(self, name, bad):
+        b, message = _INPUT_ERRORS[bad]
+        with pytest.raises(ValueError) as got:
+            _INPUT_DECIDERS[name](laplacian(gen_path(3)), b)
+        assert str(got.value) == message
+
+    def test_a_bad_input_before_a_bad_matrix_gives_the_inputs_message(self):
+        # pairs are checked in order, L before b: the bad input follows a
+        # good pair of the same L, whose index it reuses, and comes before a
+        # matrix that is not integer
+        L, bad_L = laplacian(gen_path(3)), 1.5 * laplacian(gen_path(3))
+        for b, message in _INPUT_ERRORS.values():
+            with pytest.raises(ValueError) as got:
+                exact_verdicts([(L, _ev(3, 1)), (L, b), (bad_L, _ev(3, 1))])
+            assert str(got.value) == message
+            with pytest.raises(ValueError, match="exact rank needs an integer matrix"):
+                exact_verdicts([(L, _ev(3, 1)), (bad_L, _ev(3, 1)), (L, b)])
 
 
 # ---------------------------------------------------------------------------
@@ -667,6 +710,23 @@ class TestKalmanExact:
                 assert {2, 39, 40} <= {rank for rank, _ in result}
         assert runs[ctrl._prime(0)] == asymmetric > 0
         assert runs[13] > asymmetric
+
+    @pytest.mark.parametrize("j", [0, 5, 10, 15, 20])
+    def test_powers_reduced_in_blocks_match_the_reference_kernel(self, j):
+        # x_k is reduced once per block of lag products, lag the largest
+        # with (p/2 + 1) R^lag < 2^52, R the largest absolute column sum of
+        # L mod p in residues of least size. On 2^j L for P, K and AR of
+        # orders 2..20 and the first prime, lag runs from the order itself
+        # (j = 0, R = 4 on a path) through 6 (j = 0, K20) and 2 (j = 10) to
+        # 1, every power reduced (j = 20)
+        import lapctrl.controllability as ctrl
+        p = ctrl._prime(0)
+        Ls, members = [], []
+        for g in [fn(k) for k in range(2, 21) for fn in (gen_path, gen_complete, gen_antiregular)]:
+            Ls.append(2**j * laplacian(g))
+            members += [(len(Ls) - 1, _ev(g.n, v).ravel()) for v in range(1, g.n + 1)]
+        assert ctrl._minpoly_mod(Ls, members, p) == [
+            _krylov_mod_reference(Ls[m] % p, b, p) for m, b in members]
 
     def test_a_sequence_that_misses_q_runs_the_elimination(self, elimination_runs):
         # L e_1 = u e_2 + v e_3 + w e_4 with u^2 + v^2 + w^2 = 2 p for the
@@ -1030,6 +1090,20 @@ class TestExactVerdicts:
         assert len(members) == len(set(members)) == 6
         assert verdicts == [exact_verdict(L, b) for L, b in pairs]
         assert [v.rank for v in verdicts[:6]] == [kalman_rank_exact(L, b) for L, b in pairs[:6]]
+
+    def test_a_matrix_changed_in_place_is_decided_on_its_yielded_bytes(self):
+        # one array, rewritten between yields: each pair is decided on the
+        # bytes L had when it was yielded, not on the object or on what it
+        # holds once the generator is done
+        P, K = laplacian(gen_path(4)), laplacian(gen_complete(4))
+        L = P.copy()
+
+        def pairs():
+            for m in (P, K, K, P, K):
+                L[...] = m
+                yield L, _ev(4, 1)
+
+        assert [v.rank for v in exact_verdicts(pairs())] == [4, 2, 2, 4, 2]
 
     def test_a_stack_over_the_byte_budget_is_split(self, first_prime_members):
         # pairs are sorted by order, across orders, and cut where their
