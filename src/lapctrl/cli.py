@@ -11,6 +11,7 @@ import argparse
 import functools
 import json
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from .graph_core import (Graph, gen_antiregular, gen_complete, gen_path,
@@ -126,11 +127,12 @@ def _cmd_chain(args) -> int:
 
 def _cmd_verify(args) -> int:
     cases = SUITES[args.suite](**({"seed": args.seed} if "seed" in args else {}))
-    failures = 0
-    for case in cases:
-        print(json.dumps(case))
-        failures += 0 if case["pass"] else 1
-    print(json.dumps({"suite": args.suite, "cases": len(cases), "failures": failures}))
+    # json.dumps(case) for verify's three keys, written out: the same bytes
+    lines = [f'{{"case": {_quote(c["case"])}, "pass": {"true" if c["pass"] else "false"}, '
+             f'"detail": {_quote(c["detail"])}}}' for c in cases]
+    failures = sum(not c["pass"] for c in cases)
+    lines.append(json.dumps({"suite": args.suite, "cases": len(cases), "failures": failures}))
+    print("\n".join(lines))
     return 0 if failures == 0 else 1
 
 

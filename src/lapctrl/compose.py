@@ -18,14 +18,13 @@ from, and the block-1 input predicate for chains.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .graph_core import Graph, _integer, gen_antiregular, is_connected, laplacian
-from .controllability import Verdict, _as_control, exact_verdict, input_vector
+from .controllability import Verdict, _as_control, exact_verdicts, input_vector
 from .spectral import default_gtol, eig_sym
 
 __all__ = [
@@ -87,10 +86,20 @@ def composite(spec: CompositeSpec) -> Graph:
     return Graph.from_edges(k1 * k2, edges)
 
 
-@functools.lru_cache(maxsize=64)
-def _exact_at(g: Graph, v: int) -> Verdict:
-    """The exact verdict for g driven at vertex v, remembered per graph."""
-    return exact_verdict(laplacian(g), input_vector(g.n, [v]))
+_premises: dict[tuple[Graph, int], Verdict] = {}  # (graph, vertex) -> exact verdict
+
+
+def _exact_at(pairs: list[tuple[Graph, int]]) -> list[Verdict]:
+    """The exact verdict of each graph driven at its vertex alone. Pairs not
+    in _premises are decided in one exact_verdicts call and kept there; a
+    batch that could take it past 64 pairs empties it first."""
+    if len(_premises) + len(pairs) > 64:
+        _premises.clear()
+    new = [pair for pair in dict.fromkeys(pairs) if pair not in _premises]
+    laplacians = {g: laplacian(g) for g in dict.fromkeys(g for g, _ in new)}
+    _premises.update(zip(new, exact_verdicts(
+        (laplacians[g], input_vector(g.n, [v])) for g, v in new)))
+    return [_premises[pair] for pair in pairs]
 
 
 def predict_composite(spec: CompositeSpec, w: int) -> Verdict:
@@ -101,17 +110,20 @@ def predict_composite(spec: CompositeSpec, w: int) -> Verdict:
     controllable at input index (w-1)k2+s exactly when the structure is
     controllable at w, so the verdict is the structure's own, relabeled.
     Both premises are exact verdicts memoized per (graph, vertex), so a
-    sweep over w decides the cell once and each structure vertex once.
+    sweep over w decides the cell once and each structure vertex once;
+    verify_composite puts every premise of its sweep there in one batch.
     """
     k1, k2 = spec.structure.n, spec.cell.n
     if not 1 <= _integer(w) <= k1:
         raise ValueError(f"structure vertex {w} out of range 1..{k1}")
-    cell = _exact_at(spec.cell, spec.s)
+    try:
+        cell, structure = _premises[spec.cell, spec.s], _premises[spec.structure, w]
+    except KeyError:
+        cell, structure = _exact_at([(spec.cell, spec.s), (spec.structure, w)])
     if not cell.controllable:
         raise HypothesisNotMet(
             f"cell is not single-input controllable at vertex {spec.s} "
             f"(Kalman rank {cell.rank} of {k2})")
-    structure = _exact_at(spec.structure, w)
     return Verdict(controllable=structure.controllable, method="exact",
                    input_vertex=(w - 1) * k2 + spec.s)
 

@@ -68,7 +68,8 @@ def input_vector(n: int, vertices: Iterable[int]) -> np.ndarray:
     """Binary n-by-1 input column for one input wired to the given vertices."""
     b = np.zeros((n, 1), dtype=np.int64)
     v = None
-    for v in map(_integer, vertices):
+    for v in vertices:
+        v = v if type(v) is int else _integer(v)
         if not 1 <= v <= n:
             raise ValueError(f"input vertex {v} out of range 1..{n}")
         b[v - 1, 0] = 1
@@ -494,6 +495,13 @@ def controllable_vertices(g: Graph) -> set[int]:
 # finite-horizon Gramian
 # ---------------------------------------------------------------------------
 
+# composite Simpson over [0, 1] in 200 steps: sample times and root weights, read-only
+_SIMPSON_TIMES = np.linspace(0.0, 1.0, 201)
+_SIMPSON_ROOT_WEIGHTS = np.sqrt(np.r_[1.0, [4.0, 2.0] * 99, 4.0, 1.0] * (1.0 / 200 / 3.0))
+_SIMPSON_TIMES.setflags(write=False)
+_SIMPSON_ROOT_WEIGHTS.setflags(write=False)
+
+
 def gramian_check(L, B) -> Verdict:
     """Controllability Gramian W = int_0^1 exp(-Lt) b b^T exp(-Lt) dt.
 
@@ -512,25 +520,17 @@ def gramian_check(L, B) -> Verdict:
     structurally rank deficient and the pair reports uncontrollable without
     an eigensolve.
     """
-    steps = 200  # Simpson intervals over [0, 1]; must be even
-
     Lmat = _check_square(L)
     n = Lmat.shape[0]
     bf = _as_control(B, n).astype(float)
-    if n > steps + 1:
+    if n > len(_SIMPSON_TIMES):
         _check_symmetric(Lmat)
         return Verdict(controllable=False, method="gramian", min_eigenvalue=0.0)
 
     dec = eig_sym(Lmat)
     proj = dec.modal.T @ bf  # the input in the eigenbasis
-    ts = np.linspace(0.0, 1.0, steps + 1)
-    weights = np.full(steps + 1, 2.0)
-    weights[1::2] = 4.0
-    weights[0] = weights[-1] = 1.0
-    weights *= 1.0 / steps / 3.0
-
-    factor = np.exp(-np.outer(dec.values, ts)) * proj[:, None]  # n x (steps+1)
-    factor *= np.sqrt(weights)
+    factor = np.exp(-np.outer(dec.values, _SIMPSON_TIMES)) * proj[:, None]  # n x 201
+    factor *= _SIMPSON_ROOT_WEIGHTS
 
     sig = np.linalg.svd(factor, compute_uv=False)
     min_eig = float(sig[-1] ** 2)

@@ -71,7 +71,8 @@ class Graph:
         """
         canon = set()
         for u, v in pairs:
-            u, v = _integer(u), _integer(v)
+            if type(u) is not int or type(v) is not int:
+                u, v = _integer(u), _integer(v)
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             canon.add((v, u) if u > v else (u, v))
@@ -233,12 +234,12 @@ def is_graphical(d) -> bool:
 
 def laplacian(g: Graph) -> np.ndarray:
     """Laplacian L = D - A as an exact integer array."""
-    L = np.zeros((g.n, g.n), dtype=np.int64)
     ends = np.fromiter(itertools.chain.from_iterable(g.edges), dtype=np.intp,
-                       count=2 * len(g.edges)).reshape(-1, 2) - 1
-    L[ends[:, 0], ends[:, 1]] = L[ends[:, 1], ends[:, 0]] = -1
-    np.fill_diagonal(L, -L.sum(axis=1))
-    return L
+                       count=2 * len(g.edges)) - 1
+    L = np.zeros(g.n * g.n, dtype=np.int64)  # row-major, written by flat index
+    L[ends[::2] * g.n + ends[1::2]] = L[ends[1::2] * g.n + ends[::2]] = -1
+    L[::g.n + 1] = np.bincount(ends, minlength=g.n)
+    return L.reshape(g.n, g.n)
 
 
 def is_connected(g: Graph) -> bool:

@@ -62,7 +62,7 @@ class Eigenspace:
 def _fix_signs(v: np.ndarray) -> np.ndarray:
     """Flip each column so its largest-magnitude entry (lowest index on ties)
     is positive; every zero entry comes back as +0.0."""
-    lead = np.argmax(np.abs(v), axis=0)
+    lead = np.abs(v).argmax(axis=0)
     flip = v[lead, np.arange(v.shape[1])] < 0
     return np.where(flip, -v, v) + 0.0
 
@@ -111,8 +111,8 @@ def eig_sym(m) -> EigDecomp:
         raise ConvergenceError(f"eigensolver failed: {exc}") from exc
     modal = _fix_signs(v)
 
-    scale = float(np.max(np.sum(np.abs(a), axis=1)))
-    residual = float(np.max(np.abs(a @ modal - modal * values)))
+    scale = float(np.abs(a).sum(axis=1).max())
+    residual = float(np.abs(a @ modal - modal * values).max())
     if residual > _RESIDUAL_TOL * max(scale, 1e-300):
         raise ConvergenceError(f"eigen-residual {residual:.3e} above 1e-8 * scale")
     values.setflags(write=False)

@@ -16,7 +16,7 @@ from .graph_core import (Graph, conjugate, degree_sequence, gen_antiregular,
                          random_connected_graph)
 from .spectral import check_majorization, eig_sym
 from .controllability import exact_verdicts, input_vector
-from .compose import (ChainSpec, CompositeSpec, OutOfSupport, append_path,
+from .compose import (ChainSpec, CompositeSpec, OutOfSupport, _exact_at, append_path,
                       chain_antiregular, composite, path_split_controllable,
                       predict_composite, valid_chain_input)
 
@@ -68,9 +68,9 @@ def verify_composite() -> list[dict]:
     of those structure positions, which theorem4's oracle calls decide.
     """
     graphs = _family_graphs()
-    blind = _blind([(laplacian(g), range(1, g.n + 1)) for _, g in graphs])
-    controlling = {name: [v for v in range(1, g.n + 1) if v not in out]
-                   for (name, g), out in zip(graphs, blind)}
+    verdicts = iter(_exact_at([(g, v) for _, g in graphs for v in range(1, g.n + 1)]))
+    controlling = {name: [v for v in range(1, g.n + 1) if next(verdicts).controllable]
+                   for name, g in graphs}
     runs = [(CompositeSpec(structure=struct, cell=cell, s=s), cell_name, struct_name)
             for cell_name, cell in graphs for s in controlling[cell_name]
             for struct_name, struct in graphs]

@@ -362,6 +362,19 @@ class TestVerify:
         assert out.splitlines() == expected
         assert code == 1
 
+    def test_case_lines_are_the_json_of_each_case(self, capsys, monkeypatch):
+        # the pinned bytes hold only ASCII text; these strings need escapes
+        cases = [{"case": 'quote " backslash \\ slash /', "pass": True,
+                  "detail": "tab\t newline\n nul\x00 del\x7f"},
+                 {"case": "na\u00efve \u2211 \u2028 \U0001d53b", "pass": False,
+                  "detail": "lone surrogate \ud800 and \u00e9"},
+                 {"case": "", "pass": True, "detail": ""}]
+        monkeypatch.setitem(SUITES, "cj", lambda: cases)
+        code, out, _ = run_cli(capsys, "verify", "cj")
+        assert out.splitlines() == [json.dumps(c) for c in cases] + [
+            json.dumps({"suite": "cj", "cases": 3, "failures": 1})]
+        assert code == 1
+
     def test_suite_choices_come_from_the_library(self):
         verb = _subcommands(build_parser())["verify"]
         assert list(_subcommands(verb)) == list(SUITES)

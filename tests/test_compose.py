@@ -15,6 +15,7 @@ from lapctrl import (
     chain_antiregular,
     composite,
     exact_verdict,
+    exact_verdicts,
     gen_antiregular,
     gen_complete,
     gen_path,
@@ -81,25 +82,54 @@ class TestComposite:
         with pytest.raises(ValueError):
             predict_composite(spec, 3)
 
-    def test_premises_are_decided_once_per_graph_and_vertex(self, monkeypatch):
+    @staticmethod
+    def _count_premises(monkeypatch, decided):
+        """Empty the premise memo for this test and record the (L, b) of
+        every premise that compose hands to the exact oracle."""
         import lapctrl.compose as compose
+
+        def counting(pairs):
+            pairs = list(pairs)
+            decided.extend((L, B) for L, B in pairs)
+            return exact_verdicts(pairs)
+
+        monkeypatch.setattr(compose, "_premises", {})
+        monkeypatch.setattr(compose, "exact_verdicts", counting)
+
+    def test_premises_are_decided_once_per_graph_and_vertex(self, monkeypatch):
         spec = CompositeSpec(structure=gen_antiregular(7), cell=gen_antiregular(5), s=3)
         decided = []
-
-        def counting(L, B):
-            decided.append((len(L), int(np.flatnonzero(B)[0]) + 1))
-            return exact_verdict(L, B)
-
-        compose._exact_at.cache_clear()
-        monkeypatch.setattr(compose, "exact_verdict", counting)
+        self._count_premises(monkeypatch, decided)
         for _ in range(2):
             verdicts = [predict_composite(spec, w) for w in range(1, 8)]
         # the cell at s once, then each structure vertex once
-        assert decided == [(5, 3)] + [(7, w) for w in range(1, 8)]
+        assert [(len(L), int(np.flatnonzero(B)[0]) + 1) for L, B in decided] == (
+            [(5, 3)] + [(7, w) for w in range(1, 8)])
         L = laplacian(spec.structure)
         assert [v.controllable for v in verdicts] == [
             exact_verdict(L, input_vector(7, [w])).controllable for w in range(1, 8)]
-        compose._exact_at.cache_clear()
+
+    def test_premise_memo_is_emptied_before_it_passes_64_pairs(self, monkeypatch):
+        import lapctrl.compose as compose
+        monkeypatch.setattr(compose, "_premises", {})
+        spec = CompositeSpec(structure=gen_complete(70), cell=gen_path(2), s=1)
+        sizes = []
+        for w in range(1, 71):
+            # K_n (n >= 3) is controllable from no single vertex
+            assert not predict_composite(spec, w).controllable
+            sizes.append(len(compose._premises))
+        # the cell and w = 1, then one more w a call while the two asked for fit
+        # in 64 pairs, then both afresh
+        assert sizes == [*range(2, 64), *range(2, 10)]
+
+    def test_verify_composite_decides_no_premise_twice(self, monkeypatch):
+        from lapctrl.verify import verify_composite
+        decided = []
+        self._count_premises(monkeypatch, decided)
+        verify_composite()
+        keys = [(L.tobytes(), B.tobytes()) for L, B in decided]
+        # every vertex of P, AR and K of orders 2..5 once, P2 = AR2 = K2 counted once
+        assert len(keys) == len(set(keys)) == 3 * (2 + 3 + 4 + 5) - 2 * 2
 
 
 def gen_threshold_like_disconnected():

@@ -1338,6 +1338,26 @@ class TestGramian:
         with pytest.raises(ValueError, match="not symmetric"):
             gramian_check(L, _ev(202, 1))
 
+    @pytest.mark.parametrize("L, b", [
+        (np.zeros((1, 1)), np.ones((1, 1))),
+        *[(T * laplacian(gen_path(2)), _ev(2, 1)) for T in (1.0, 2.0)],
+        (laplacian(gen_path(3)), _ev(3, 2)),
+        (0.01 * laplacian(gen_path(4)), _ev(4, 1)),
+        *[(laplacian(gen_path(k)), _ev(k, 1)) for k in (4, 6, 8, 10, 12)],
+    ])
+    def test_min_eigenvalue_is_bit_identical_to_the_per_call_quadrature(self, L, b):
+        # the pinned pairs above, against the nodes and weights built inside the call
+        steps = 200
+        dec = eig_sym(L)
+        weights = np.full(steps + 1, 2.0)
+        weights[1::2] = 4.0
+        weights[0] = weights[-1] = 1.0
+        weights *= 1.0 / steps / 3.0
+        factor = np.exp(-np.outer(dec.values, np.linspace(0.0, 1.0, steps + 1)))
+        factor = factor * (dec.modal.T @ b.astype(float).ravel())[:, None] * np.sqrt(weights)
+        expected = float(np.linalg.svd(factor, compute_uv=False)[-1] ** 2)
+        assert gramian_check(L, b).min_eigenvalue == expected
+
     def test_floor_constant_is_tiny(self):
         assert GRAMIAN_EIG_FLOOR < 1e-20
 

@@ -23,13 +23,33 @@ from lapctrl import (
     laplacian,
     random_connected_graph,
 )
+from lapctrl.verify import DEFAULT_SEED
 
 
 # ---------------------------------------------------------------------------
 # eig_sym
 # ---------------------------------------------------------------------------
 
+def _eig_sym_reference(L):
+    """(values, modal) as eig_sym computed them through numpy's module-level
+    reductions: eigh, then each column's sign set by its largest entry."""
+    values, v = np.linalg.eigh(np.asarray(L).astype(float))
+    lead = np.argmax(np.abs(v), axis=0)
+    flip = v[lead, np.arange(v.shape[1])] < 0
+    return values, np.where(flip, -v, v) + 0.0
+
+
 class TestEigSym:
+    def test_bit_identical_to_the_reference_on_the_majorization_graphs(self):
+        # the 100 graphs of verify_majorization at its default seed
+        rng = random.Random(DEFAULT_SEED)
+        for _ in range(100):
+            L = laplacian(random_connected_graph(rng.randint(2, 10), rng))
+            dec = eig_sym(L)
+            values, modal = _eig_sym_reference(L)
+            assert dec.values.tobytes() == values.tobytes()
+            assert dec.modal.tobytes() == modal.tobytes()
+
     def test_path3_spectrum(self):
         dec = eig_sym(laplacian(gen_path(3)))
         assert np.allclose(dec.values, [0.0, 1.0, 3.0], atol=1e-10)
