@@ -90,7 +90,7 @@ class TestComposite:
 
         def counting(pairs):
             pairs = list(pairs)
-            decided.extend((L, B) for L, B in pairs)
+            decided.extend(pairs)
             return exact_verdicts(pairs)
 
         monkeypatch.setattr(compose, "_premises", {})
