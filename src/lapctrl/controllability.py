@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -137,17 +136,21 @@ def _prime(i: int) -> int:
     """The (i+1)-th largest prime below 2^21, found on first use.
 
     Residues below 2^21 keep every int64 dot product of length n under
-    n * 2^42, far from overflow at any order a dense matrix can have.
+    n * 2^42, far from overflow at any order a dense matrix can have. Odd
+    p = d 2^s + 1, d odd, is tested by Miller-Rabin to the bases 2, 3 and
+    5, exact below 25,326,001 (Pomerance, Selfridge & Wagstaff, 1980).
     """
-    p = (_prime(i - 1) if i else 1 << 21) - 1
-    while p > 2 and any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
-        p -= 1
-    if p <= 2:
-        raise RuntimeError("the exact oracle ran out of primes below 2^21")
-    return p
+    p = (_prime(i - 1) if i else (1 << 21) + 1) - 2
+    while p > 5:
+        s = ((p - 1) & (1 - p)).bit_length() - 1
+        if all(pow(a, p >> s, p) == 1 or any(pow(a, p >> s << k, p) == p - 1 for k in range(s))
+               for a in (2, 3, 5)):
+            return p
+        p -= 2
+    raise RuntimeError("the exact oracle ran out of primes below 2^21")
 
 
-_FIRST_BLOCK = 16  # Krylov rows built before the first elimination step
+_FIRST_BLOCK = 64  # Krylov rows built before the first elimination step
 _STACK_BYTES = 1 << 21  # powers x_k of a stack of pairs; matrices and columns of a Horner run
 
 
@@ -155,46 +158,50 @@ def _krylov_mod(L: np.ndarray, b: np.ndarray, p: int) -> tuple[int, list[int] | 
     """Krylov rank r of (L, b) over GF(p), for L with entries in [0, p).
 
     The rows L^k b are built one mat-vec at a time, in blocks that double
-    in size from _FIRST_BLOCK, so a pair of rank r builds O(r) rows. Each
-    row carries n more columns, the coefficients of the polynomial f with
-    row = f(L) b, starting as the unit vector e_k. Elimination is eager
-    Gauss-Jordan: a new pivot clears its column from every other built row
-    by one rank-1 update, and a new block is reduced by all earlier pivot
-    rows in one product. Only the pivot row and the multiplier column are
-    reduced mod p at each step (delayed reduction, as in FFLAS), so every
-    other entry stays below n * 2^42 + p in int64. When r < n, the row that
-    reduces to zero is q_p(L) b for the monic q_p of degree r with
-    q_p(L) b = 0 mod p, returned as its coefficients, constant first; at
-    r = n that is None.
+    in size from _FIRST_BLOCK, so a pair of rank r builds O(r) rows, and
+    eliminated by right-looking LU: a pivot clears its column from the rows
+    below it in its block by one rank-1 update, keeping in mults[j, i] the
+    multiple of pivot row j taken from row i. A new block first takes the
+    earlier pivots' multiples from a triangular solve on their columns, and
+    one product. Only the pivot row and the multiplier column are reduced
+    mod p (delayed reduction: Dumas, Giorgi & Pernet, ACM TOMS 35(3), 2008),
+    so every entry stays below n * 2^42 + p in int64; past the first block
+    products are float64, exact while n (p - 1)^2 < 2^53. When row r
+    reduces to zero, q with q M = e_r, M the unit lower triangle of the
+    multiples of rows 0..r, is the monic q_p of degree r with q_p(L) b = 0
+    mod p, returned as its coefficients, constant first; at r = n, None.
     """
     n = len(b)
-    rows = np.zeros((n, 2 * n), dtype=np.int64)
-    pivots = np.zeros(n, dtype=np.intp)
-    inverses = np.zeros(n, dtype=np.int64)
-    v = b
+    wide = np.float64 if _FIRST_BLOCK < n and n * (p - 1) ** 2 < 2**53 else np.int64
+    Lw, v = L.astype(wide, copy=False), b.astype(wide, copy=False)
+    rows, mults = np.zeros((n, n), dtype=np.int64), np.zeros((n, n), dtype=wide)
+    pivots, inverses = np.zeros(n, dtype=np.intp), np.zeros(n, dtype=np.int64)
     start, end = 0, min(n, _FIRST_BLOCK)
-    while True:
+    while start < n:
         for k in range(start, end):
-            rows[k, :n] = v
-            rows[k, n + k] = 1
-            v = L @ v % p
+            rows[k] = v
+            v = Lw @ v % p
         if start:
-            rows[:start] %= p
-            block = rows[start:end]
-            block -= (block[:, pivots[:start]] * inverses[:start] % p) @ rows[:start]
+            done = rows[:start].astype(wide)
+            upper, new = done[:, pivots[:start]], rows[start:end, pivots[:start]].T.astype(wide)
+            X = mults[:start, start:end]
+            for j in range(start):
+                X[j] = (new[j] - X[:j].T @ upper[:j, j]) % p * inverses[j] % p
+            rows[start:end] -= (X.T @ done).astype(np.int64)
         for r in range(start, end):
             row = rows[r]
             row %= p
-            pos = pivots[r] = row[:n].argmax()
+            pos = pivots[r] = row.argmax()
             if not row[pos]:
-                return r, row[n:n + r + 1].tolist()
+                q = np.append(np.zeros(r, dtype=wide), 1)
+                for j in range(r - 1, -1, -1):
+                    q[j] = -(mults[j, j + 1:r + 1] @ q[j + 1:]) % p
+                return r, q.astype(np.int64).tolist()
             inv = inverses[r] = pow(int(row[pos]), -1, p)
-            multipliers = rows[:end, pos] % p * inv % p
-            multipliers[r] = 0
-            rows[:end] -= np.multiply.outer(multipliers, row)
-        if end == n:
-            return n, None
+            m = mults[r, r + 1:end] = rows[r + 1:end, pos] % p * inv % p
+            rows[r + 1:end] -= np.multiply.outer(m, row)
         start, end = end, min(n, 2 * end)
+    return n, None
 
 
 def _balance(x: np.ndarray, p: int) -> np.ndarray:
@@ -422,6 +429,8 @@ def kalman_rank_exact(L, B) -> int:
 
     The Krylov chain runs modulo descending primes below 2^21, and the
     answer is certified by two bounds, so no outcome rests on probability.
+    Modulo each prime, _krylov_mod eliminates the pair's Krylov rows by
+    right-looking LU, and q_p comes from the multiples it keeps.
     Lower bound: a rank mod p never exceeds the rank over the rationals, so
     a rank of n mod any prime returns n at once. Upper bound: the primes
     that reach the largest residue rank r each give the monic q_p of degree
@@ -474,7 +483,8 @@ def exact_verdicts(pairs: Iterable[tuple]) -> list[Verdict]:
     Horner run (M <= 2 bound < M 2^64) take one uint64 _horner_zero call
     per order, the pairs of one L as the columns of one product. A pair
     that neither decides waits for the next round's prime. Pairs of one
-    (rank, n) share one Verdict.
+    (rank, n) share one Verdict. _krylov_mod is a right-looking LU that
+    keeps its multiples in place of coefficient columns.
     """
     certified, order = _certify(pairs)
     shared = {(rank, n): Verdict(controllable=rank == n, method="exact", rank=rank)

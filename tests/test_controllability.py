@@ -635,28 +635,56 @@ class TestKalmanExact:
             deficient += expected < len(L)
         assert 0 < deficient < len(cases)  # both bounds decide some case
 
+    def test_first_primes_are_the_trial_division_primes(self):
+        # the 200 largest primes below 2^21, in descending order, as trial
+        # division finds them
+        import lapctrl.controllability as ctrl
+        primes, p = [], 1 << 21
+        while len(primes) < 200:
+            p -= 1
+            if all(p % d for d in range(2, math.isqrt(p) + 1)):
+                primes.append(p)
+        assert [ctrl._prime(i) for i in range(200)] == primes
+
     def test_kernel_matches_the_reference_kernel(self):
-        # every vertex of P, K and AR of orders around the block boundaries
-        # 16 and 32, and three vertices of random graphs up to order 60,
-        # modulo the largest prime and the eighth: ranks on both sides of
-        # each boundary, full rank included
+        # modulo the largest prime and the eighth: every vertex of P, K and
+        # AR up to order 40, inside the first block, and three vertices of
+        # random graphs up to order 60. Around the block boundaries 64 and
+        # 128, P at vertex 1 (full rank) and a graph with one twin pair at
+        # vertex 1 (rank one below the order), so that ranks 63, 64, 65, 128
+        # and 129 come both full and deficient, and ranks 65 and 129 reduce
+        # a row to zero inside a block that the earlier pivots caught up;
+        # and integer matrices that are not symmetric. These take the largest
+        # prime and 2^24 - 3, where n (p - 1)^2 passes 2^53 from order 33, so
+        # the products past the first block run in int64 as they do at the
+        # oracle's primes from order 2048
         import lapctrl.controllability as ctrl
         rng = random.Random(17)
-        cases = [(g, range(1, g.n + 1)) for k in (2, 8, 16, 17, 32, 33, 40)
+        primes = ctrl._prime(0), ctrl._prime(7)
+        cases = [(laplacian(g), range(1, g.n + 1), primes) for k in (2, 8, 16, 17, 32, 33, 40)
                  for g in (gen_path(k), gen_complete(k), gen_antiregular(k))]
         for _ in range(10):
             g = random_connected_graph(rng.randint(2, 60), rng)
-            cases.append((g, {1, (g.n + 1) // 2, g.n}))
-        ranks = set()
-        for g, vertices in cases:
-            L = laplacian(g)
+            cases.append((laplacian(g), {1, (g.n + 1) // 2, g.n}, primes))
+        primes = ctrl._prime(0), 2**24 - 3
+        for k in (63, 64, 65, 128, 129):
+            cases.append((laplacian(gen_path(k)), [1], primes))
+            g = random_connected_graph(k, rng)
+            twin = [(u + v - k, k + 1) for u, v in g.edges if k in (u, v)]
+            cases.append((laplacian(Graph.from_edges(k + 1, [*g.edges, *twin])), [1], primes))
+        for k in (70, 130):
+            L = np.array([[rng.randint(-3, 3) for _ in range(k)] for _ in range(k)])
+            cases.append((L, [1, k], primes))
+        full, deficient = set(), set()
+        for L, vertices, primes in cases:
             for v in vertices:
-                b = _ev(g.n, v).ravel()
-                for p in (ctrl._prime(0), ctrl._prime(7)):
+                b = _ev(len(L), v).ravel()
+                for p in primes:
                     result = ctrl._krylov_mod(L % p, b, p)
-                    assert result == _krylov_mod_reference(L % p, b, p), (g, v, p)
-                    ranks.add(result[0])
-        assert {16, 17, 32, 33, 40} <= ranks
+                    assert result == _krylov_mod_reference(L % p, b, p), (L.tolist(), v, p)
+                    (full if result[0] == len(L) else deficient).add(result[0])
+        assert {16, 17, 32, 33, 40, 63, 64, 65, 70, 128, 129, 130} <= full
+        assert {63, 64, 65, 128, 129} <= deficient
 
     @pytest.fixture
     def elimination_runs(self, monkeypatch):
@@ -971,11 +999,56 @@ def _graph_and_input_sets(k, seed):
     return g, [rng.sample(range(1, k + 1), rng.randint(1, k - 1)) for _ in range(4)]
 
 
+def _large_full_rank_pair(k, seed):
+    """A random connected graph of order k and an input vertex of full
+    exact rank, and the generator that drew them."""
+    rng = random.Random(seed)
+    g = random_connected_graph(k, rng)
+    v = rng.randint(1, k)
+    assume(kalman_rank_exact(laplacian(g), _ev(k, v)) == k)
+    return g, v, rng
+
+
 class TestExactMetamorphic:
     # Relations the exact rank must keep, on random connected graphs of
-    # order up to 10. L has the eigenvector 1 (eigenvalue 0, a simple eigenvalue when G is
-    # connected), and the Krylov dimension of b counts the eigenspaces that
-    # b meets, so both relations follow from how the inputs meet them.
+    # order up to 10, and on full-rank pairs of order 100 to 200, where the
+    # rows cross the elimination's block boundaries. L has the eigenvector 1
+    # (eigenvalue 0, a simple eigenvalue when G is connected), and the
+    # Krylov dimension of b counts the eigenspaces that b meets, so the
+    # relations follow from how the inputs meet them.
+
+    @given(st.integers(min_value=100, max_value=200), st.integers())
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    def test_relabelling_keeps_a_large_full_rank(self, k, seed):
+        g, v, rng = _large_full_rank_pair(k, seed)
+        label = dict(zip(range(1, k + 1), rng.sample(range(1, k + 1), k)))
+        moved = Graph.from_edges(k, [(label[a], label[b]) for a, b in g.edges])
+        assert kalman_rank_exact(laplacian(moved), _ev(k, label[v])) == k
+
+    @given(st.integers(min_value=100, max_value=200), st.integers())
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    def test_graph_complement_keeps_a_large_full_rank(self, k, seed):
+        # as at small orders: L(G') = nI - J - L(G) maps each eigenvalue
+        # lambda on the complement of 1 to n - lambda, and with G' connected
+        # no two eigenspaces merge
+        g, v, _ = _large_full_rank_pair(k, seed)
+        comp = Graph.from_edges(k, [(u, w) for u in range(1, k + 1)
+                                    for w in range(u + 1, k + 1) if (u, w) not in g.edges])
+        assume(is_connected(comp))
+        Lc = laplacian(comp)
+        J = np.ones((k, k), dtype=int)
+        assert np.array_equal(Lc, k * np.eye(k, dtype=int) - J - laplacian(g))
+        assert kalman_rank_exact(Lc, _ev(k, v)) == k
+
+    @given(st.integers(min_value=100, max_value=200), st.integers(min_value=1, max_value=54),
+           st.integers())
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    def test_a_power_of_two_scale_keeps_a_large_full_rank(self, k, j, seed):
+        # 2^j L has the eigenspaces of L; a degree below 2^8 keeps 2^54 L in int64
+        g, v, _ = _large_full_rank_pair(k, seed)
+        L = laplacian(g)
+        assert 2**j * int(L.max()) < 2**63
+        assert kalman_rank_exact(2**j * L, _ev(k, v)) == k
 
     @given(st.integers(min_value=2, max_value=10), st.integers())
     @settings(max_examples=100, deadline=None, derandomize=True)
