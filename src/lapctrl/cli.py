@@ -25,7 +25,7 @@ from .compose import (ChainSpec, CompositeSpec, append_path, chain_antiregular, 
 from .verify import DEFAULT_SEED, SUITES
 
 # Largest graph order the CLI builds; a dense Laplacian of this order takes
-# 8 MB and its exact check about 15 s on one core.
+# 8 MB and its exact check about 1 s on a controllable pair.
 _MAX_ORDER = 1024
 
 

@@ -16,10 +16,9 @@ vector or an n-by-1 column; any other shape is a ValueError.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -131,7 +130,9 @@ def pbh_verdict(L, B) -> Verdict:
 # exact Kalman rank
 # ---------------------------------------------------------------------------
 
-@functools.cache
+_PRIMES: list[int] = []  # the primes _prime has found, largest first
+
+
 def _prime(i: int) -> int:
     """The (i+1)-th largest prime below 2^21, found on first use.
 
@@ -140,18 +141,20 @@ def _prime(i: int) -> int:
     p = d 2^s + 1, d odd, is tested by Miller-Rabin to the bases 2, 3 and
     5, exact below 25,326,001 (Pomerance, Selfridge & Wagstaff, 1980).
     """
-    p = (_prime(i - 1) if i else (1 << 21) + 1) - 2
-    while p > 5:
+    p = _PRIMES[-1] if _PRIMES else (1 << 21) + 1
+    while len(_PRIMES) <= i:
+        p -= 2
+        if p <= 5:
+            raise RuntimeError("the exact oracle ran out of primes below 2^21")
         s = ((p - 1) & (1 - p)).bit_length() - 1
         if all(pow(a, p >> s, p) == 1 or any(pow(a, p >> s << k, p) == p - 1 for k in range(s))
                for a in (2, 3, 5)):
-            return p
-        p -= 2
-    raise RuntimeError("the exact oracle ran out of primes below 2^21")
+            _PRIMES.append(p)
+    return _PRIMES[i]
 
 
 _FIRST_BLOCK = 64  # Krylov rows built before the first elimination step
-_STACK_BYTES = 1 << 21  # powers x_k of a stack of pairs; matrices and columns of a Horner run
+_STACK_BYTES = 1 << 21  # powers x_k of a stack of pairs, the one cut _certify makes in a round
 
 
 def _krylov_mod(L: np.ndarray, b: np.ndarray, p: int) -> tuple[int, list[int] | None]:
@@ -303,49 +306,25 @@ def _row_sum(as_int: np.ndarray) -> int:
     return int(abs(as_int.astype(object) if wide else as_int).sum(axis=1).max())
 
 
-def _horner_zero(Ls: list[np.ndarray],
-                 members: list[tuple[int, np.ndarray, list[int]]]) -> np.ndarray:
-    """For each member (m, b, q), whether q(Ls[m]) b = 0 mod 2^64, by one
-    run of Horner's rule in wrapping uint64 arithmetic; Ls are int64
-    matrices of one order n, and q has the coefficients lifted (constant
-    first, monic, any size).
+def _horner_zero(L: np.ndarray, bs: Sequence[np.ndarray], qs: Sequence[list[int]]) -> np.ndarray:
+    """For each b of bs and q of qs, whether q(L) b = 0 mod 2^64, by one run
+    of Horner's rule in wrapping uint64 arithmetic; L is an int64 matrix and
+    each q has the coefficients lifted (constant first, monic, any size).
 
-    The members of one matrix are its columns: each step is one product
-    L V, so a matrix is never copied per member. Matrices are stacked, the
-    one with the most members first, while the stack holds at most
-    _STACK_BYTES of matrices and columns; a matrix that fills the budget
-    alone runs unstacked. Coefficients and columns are zero-padded, so v
-    stays 0 until a member's own degree. Each L is read as uint64 through
-    a view and each coefficient is taken mod 2^64; unsigned products and
-    sums wrap, which is exact arithmetic mod 2^64, so no step is checked
-    and every member runs to the end.
+    The b are the columns of one product L V a step, so L is never copied
+    per member. Coefficients are zero-padded at the top, so a column stays
+    0 until its own degree. L is read as uint64 through a view and each
+    coefficient is taken mod 2^64; unsigned products and sums wrap, which
+    is exact arithmetic mod 2^64, so no step is checked and every member
+    runs to the end.
     """
-    n = len(members[0][1])
-    columns: dict[int, list[int]] = {}  # matrix -> its members' positions
-    for i, (m, _, _) in enumerate(members):
-        columns.setdefault(m, []).append(i)
-    groups = sorted(columns.items(), key=lambda group: -len(group[1]))
-    zero = np.zeros(len(members), dtype=bool)
-    while groups:
-        k = len(groups[0][1])
-        size = max(1, _STACK_BYTES // (8 * n * (n + k)))
-        stack, groups = groups[:size], groups[size:]
-        degree = max(len(members[i][2]) for _, cols in stack for i in cols)
-        bs = np.zeros((len(stack), n, k), dtype=np.uint64)
-        coeffs = np.zeros((degree, len(stack), k), dtype=np.uint64)
-        for s, (_, cols) in enumerate(stack):
-            for c, i in enumerate(cols):
-                _, b, q = members[i]
-                bs[s, :, c] = b
-                coeffs[:len(q), s, c] = [x % 2**64 for x in q]
-        Lstack = Ls[stack[0][0]][None] if len(stack) == 1 else np.stack([Ls[m] for m, _ in stack])
-        Lstack = Lstack.view(np.uint64)
-        v = np.zeros_like(bs)
-        for c in coeffs[::-1]:
-            v = Lstack @ v + c[:, None, :] * bs
-        for s, (_, cols) in enumerate(stack):
-            zero[cols] = ~v[s, :, :len(cols)].any(axis=0)
-    return zero
+    V = np.stack(bs, axis=1).astype(np.uint64)
+    coeffs = np.array([[x % 2**64 for x in row] for row in itertools.zip_longest(*qs, fillvalue=0)],
+                      dtype=np.uint64)  # a row per degree, a column per member
+    Lu, v = L.view(np.uint64), np.zeros_like(V)
+    for c in coeffs[::-1]:
+        v = Lu @ v + c * V
+    return ~v.any(axis=0)
 
 
 def _certify(pairs: Iterable[tuple]) -> tuple[list[tuple[int, int]], list[int]]:
@@ -387,12 +366,11 @@ def _certify(pairs: Iterable[tuple]) -> tuple[list[tuple[int, int]], list[int]]:
             stack = [members[j] for _, j in group]
             residues += (_minpoly_mod(validated, stack, p) if len(stack) > 1
                          else [_krylov_mod(validated[stack[0][0]] % p, stack[0][1], p)])
-        candidates: dict[int, list[tuple[int, list[int]]]] = {}
+        candidates: dict[int, list[tuple]] = {}  # matrix -> (pair, b, lifted q) of its pairs
         for j, (rank, q) in zip(pending, residues):
             m, b = members[j]
-            n = len(b)
-            if rank == n:
-                ranks[j] = n
+            if rank == len(b):
+                ranks[j] = rank
                 continue
             best, coeffs, modulus = crt[j]
             if rank < best:
@@ -413,10 +391,10 @@ def _certify(pairs: Iterable[tuple]) -> tuple[list[tuple[int, int]], list[int]]:
             if modulus > 2 * bound:
                 ranks[j] = rank
             elif modulus << 64 > 2 * bound:
-                candidates.setdefault(n, []).append((j, lifted))
-        for n, held in candidates.items():
-            zero = _horner_zero(validated, [(members[j][0], members[j][1], q) for j, q in held])
-            for (j, _), certified in zip(held, zero.tolist()):
+                candidates.setdefault(m, []).append((j, b, lifted))
+        for m, held in candidates.items():
+            js, bs, qs = zip(*held)
+            for j, certified in zip(js, _horner_zero(validated[m], bs, qs).tolist()):
                 if certified:
                     ranks[j] = crt[j][0]
         pending = [j for j in pending if ranks[j] is None]
@@ -440,10 +418,10 @@ def kalman_rank_exact(L, B) -> int:
     at most r. With R the largest absolute row sum of L, every entry of
     q(L) b is at most bound = sum_k |q_k| R^k in size, and 2^64 is coprime
     to M, so q(L) b = 0 over the integers once M 2^64 > 2 bound and q(L) b
-    = 0 mod 2^64. One run of Horner's rule in wrapping uint64 checks the
-    latter, skipped when M > 2 bound already decides. Otherwise another
-    prime joins; a higher rank restarts the combination. This is
-    exact_verdicts of the one pair, which also tells how a stack finds q_p.
+    = 0 mod 2^64. One _horner_zero run on L checks the latter, skipped
+    when M > 2 bound already decides. Otherwise another prime joins; a
+    higher rank restarts the combination. This is exact_verdicts of the
+    one pair, which also tells how a stack finds q_p.
     """
     (rank, _), = _certify([(L, B)])[0]
     return rank
@@ -480,11 +458,10 @@ def exact_verdicts(pairs: Iterable[tuple]) -> list[Verdict]:
     when f(L) b = 0 mod p, as q_p then divides f. Any other pair, and each
     pair whose L is not symmetric mod p, runs _krylov_mod. Residues join
     the CRT combinations as in kalman_rank_exact, and the q that need a
-    Horner run (M <= 2 bound < M 2^64) take one uint64 _horner_zero call
-    per order, the pairs of one L as the columns of one product. A pair
-    that neither decides waits for the next round's prime. Pairs of one
-    (rank, n) share one Verdict. _krylov_mod is a right-looking LU that
-    keeps its multiples in place of coefficient columns.
+    Horner run (M <= 2 bound < M 2^64) take one _horner_zero call per
+    distinct L, its pairs as the columns of one product. A pair that
+    neither decides waits for the next round's prime. Pairs of one (rank,
+    n) share one Verdict.
     """
     certified, order = _certify(pairs)
     shared = {(rank, n): Verdict(controllable=rank == n, method="exact", rank=rank)

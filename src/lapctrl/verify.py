@@ -233,13 +233,11 @@ def verify_figure1() -> list[dict]:
                 continue
             tries.append((word, label, (L_bare, b_bare),
                           (L_tail, _block1_input(tailed.n, pattern))))
-    oracle, *bare_verdicts = exact_verdicts([(laplacian(comp), input_vector(comp.n, [18]))]
-                                            + [pair for _, _, pair, _ in tries])
-    # the tail is only asked about where the bare chain is controllable
-    tries = [t for t, verdict in zip(tries, bare_verdicts) if verdict.controllable]
+    oracle, *verdicts = exact_verdicts([(laplacian(comp), input_vector(comp.n, [18]))]
+                                       + [pair for _, _, *pairs in tries for pair in pairs])
     winners: dict[str, list[str]] = {word: [] for word in words}
-    for (word, label, _, _), verdict in zip(tries, exact_verdicts(t[3] for t in tries)):
-        if verdict.controllable:
+    for (word, label, _, _), bare, tail in zip(tries, verdicts[::2], verdicts[1::2]):
+        if bare.controllable and tail.controllable:
             winners[word].append(label)
     ok = oracle.controllable and pred.controllable and pred.input_vertex == 18
     cases = [_case("figure1d composite AR7(AR5,s=3) input=18", ok,

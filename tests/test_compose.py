@@ -9,6 +9,7 @@ import pytest
 from lapctrl import (
     ChainSpec,
     CompositeSpec,
+    Graph,
     HypothesisNotMet,
     OutOfSupport,
     append_path,
@@ -130,6 +131,63 @@ class TestComposite:
         keys = [(L.tobytes(), B.tobytes()) for L, B in decided]
         # every vertex of P, AR and K of orders 2..5 once, P2 = AR2 = K2 counted once
         assert len(keys) == len(set(keys)) == 3 * (2 + 3 + 4 + 5) - 2 * 2
+
+
+def _canonical_form(n, edges):
+    """The least sorted edge list of a graph on 1..n over all relabellings."""
+    return min(tuple(sorted(tuple(sorted((image[u - 1], image[v - 1]))) for u, v in edges))
+               for image in itertools.permutations(range(1, n + 1)))
+
+
+def connected_graphs(top):
+    """Every connected graph of order 2..top, one per isomorphism class,
+    ordered by order. A connected graph loses no connectivity with a leaf
+    of a spanning tree, so each of order n is some graph of order n - 1
+    with a new vertex n joined to a nonempty set of its vertices; the
+    candidates are deduplicated by their brute-force canonical form."""
+    level, graphs = [()], []
+    for n in range(2, top + 1):
+        forms = {}
+        for edges in level:
+            for k in range(1, n):
+                for joined in itertools.combinations(range(1, n), k):
+                    forms.setdefault(_canonical_form(n, [*edges, *((u, n) for u in joined)]))
+        level = list(forms)
+        graphs += [Graph.from_edges(n, edges) for edges in level]
+    return graphs
+
+
+class TestCompositeOnSmallGraphs:
+    def test_generator_finds_each_connected_graph_once(self):
+        # 1, 2, 6 and 21 connected graphs of orders 2..5 (OEIS A001349)
+        graphs = connected_graphs(5)
+        assert [sum(g.n == n for g in graphs) for n in range(2, 6)] == [1, 2, 6, 21]
+        assert len({_canonical_form(g.n, g.edges) for g in graphs}) == len(graphs)
+
+    def test_composite_follows_the_structure_on_every_graph_to_order_5(self):
+        # every cell of order 2..5 at every vertex s that controls it, and
+        # every structure of order 2..5 at every vertex w: the composite at
+        # input (w - 1) k2 + s is controllable exactly when the structure is
+        # at w, all by the exact oracle. A mismatch stays red
+        graphs = connected_graphs(5)
+        alone = [(g, v) for g in graphs for v in range(1, g.n + 1)]
+        verdicts = dict(zip(alone, exact_verdicts(
+            (laplacian(g), input_vector(g.n, [v])) for g, v in alone)))
+        cells = [(g, s) for g, s in alone if verdicts[g, s].controllable]
+        cases = [(CompositeSpec(structure=structure, cell=cell, s=s), w)
+                 for cell, s in cells for structure in graphs for w in range(1, structure.n + 1)]
+        assert (len(cells), len(cases)) == (36, 4932)
+        laplacians = {spec: laplacian(composite(spec)) for spec in dict.fromkeys(s for s, _ in cases)}
+        composites = exact_verdicts(
+            (laplacians[spec], input_vector(spec.structure.n * spec.cell.n,
+                                            [(w - 1) * spec.cell.n + spec.s]))
+            for spec, w in cases)
+        mismatches = [(spec.structure.sorted_edges(), w, spec.cell.sorted_edges(), spec.s)
+                      for (spec, w), verdict in zip(cases, composites)
+                      if verdict.controllable != verdicts[spec.structure, w].controllable]
+        assert mismatches == []
+        # both outcomes occur, so the agreement is not one-sided
+        assert {v.controllable for v in composites} == {True, False}
 
 
 def gen_threshold_like_disconnected():

@@ -635,16 +635,19 @@ class TestKalmanExact:
             deficient += expected < len(L)
         assert 0 < deficient < len(cases)  # both bounds decide some case
 
-    def test_first_primes_are_the_trial_division_primes(self):
+    def test_first_primes_are_the_trial_division_primes(self, monkeypatch):
         # the 200 largest primes below 2^21, in descending order, as trial
-        # division finds them
+        # division finds them; and the 1501st, asked for first of all, which
+        # grows the memo from empty by one loop, not one call per prime
         import lapctrl.controllability as ctrl
         primes, p = [], 1 << 21
-        while len(primes) < 200:
+        while len(primes) < 1501:
             p -= 1
             if all(p % d for d in range(2, math.isqrt(p) + 1)):
                 primes.append(p)
-        assert [ctrl._prime(i) for i in range(200)] == primes
+        monkeypatch.setattr(ctrl, "_PRIMES", [])
+        assert ctrl._prime(1500) == primes[1500]
+        assert [ctrl._prime(i) for i in range(200)] == primes[:200]
 
     def test_kernel_matches_the_reference_kernel(self):
         # modulo the largest prime and the eighth: every vertex of P, K and
@@ -872,9 +875,9 @@ class TestKalmanExact:
         # a factor of L from the padding
         import lapctrl.controllability as ctrl
         L = laplacian(gen_path(3))
-        members = [(0, _ev(3, v).ravel(), q)
-                   for v, q in ((2, [-3, 1]), (2, [0, -3, 1]), (1, [0, 3, -4, 1]))]
-        zero = ctrl._horner_zero([L], members)
+        bs, qs = zip(*[(_ev(3, v).ravel(), q)
+                       for v, q in ((2, [-3, 1]), (2, [0, -3, 1]), (1, [0, 3, -4, 1]))])
+        zero = ctrl._horner_zero(L, bs, qs)
         assert zero.tolist() == [False, True, True]
 
     def test_horner_reports_a_wrapped_zero_as_zero(self):
@@ -887,8 +890,9 @@ class TestKalmanExact:
         import lapctrl.controllability as ctrl
         Ls = [np.diag([0, 2**32]), np.diag([0, 3])]
         b = np.ones(2, dtype=np.int64)
-        zero = ctrl._horner_zero(Ls, [(0, b, [0, 0, 1]), (1, b, [0, -3, 1]), (1, b, [0, 0, 1])])
-        assert zero.tolist() == [True, True, False]
+        zero = (ctrl._horner_zero(Ls[0], [b], [[0, 0, 1]]).tolist()
+                + ctrl._horner_zero(Ls[1], [b, b], [[0, -3, 1], [0, 0, 1]]).tolist())
+        assert zero == [True, True, False]
 
     def test_a_wrapped_zero_alone_certifies_nothing(self):
         # L e_1 = 2^43 e_2 and L e_2 = 2^21 p e_3 for the first prime p, so
@@ -902,7 +906,7 @@ class TestKalmanExact:
         L[1, 0], L[2, 1] = 2**43, 2**21 * p
         b = np.array([1, 0, 0])
         assert ctrl._krylov_mod(L % p, b, p) == (2, [0, 0, 1])
-        assert ctrl._horner_zero([L], [(0, b, [0, 0, 1])]).tolist() == [True]
+        assert ctrl._horner_zero(L, [b], [[0, 0, 1]]).tolist() == [True]
         assert kalman_rank_exact(L, b) == 3
 
     def test_a_large_upper_bound_keeps_the_crt_loop(self, monkeypatch):
@@ -1197,7 +1201,7 @@ class TestExactVerdicts:
     def kernel_calls(self, monkeypatch):
         """(prime, sorted member orders) of each Krylov kernel call, a single
         _krylov_mod run holding one member, and the members that each
-        stacked Horner check decided, as a list of booleans per call."""
+        Horner check decided, as a list of booleans per call (one matrix)."""
         import lapctrl.controllability as ctrl
         krylov, horner = [], []
         single, stacked, zero = ctrl._krylov_mod, ctrl._minpoly_mod, ctrl._horner_zero
