@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -275,6 +275,8 @@ def _minpoly_mod(Ls: list[np.ndarray], members: list[tuple[int, np.ndarray]],
         low = length[cols] < n
         for j in i[~low].tolist():
             out[j] = n, None
+        if not low.any():
+            continue
         cols, i, rows = cols[low], i[low], rows[low]
         degree = length[cols]
         f = np.take_along_axis(C[:, cols], top - degree + np.arange(n + 1)[:, None], axis=0)
@@ -306,25 +308,17 @@ def _row_sum(as_int: np.ndarray) -> int:
     return int(abs(as_int.astype(object) if wide else as_int).sum(axis=1).max())
 
 
-def _horner_zero(L: np.ndarray, bs: Sequence[np.ndarray], qs: Sequence[list[int]]) -> np.ndarray:
-    """For each b of bs and q of qs, whether q(L) b = 0 mod 2^64, by one run
-    of Horner's rule in wrapping uint64 arithmetic; L is an int64 matrix and
-    each q has the coefficients lifted (constant first, monic, any size).
-
-    The b are the columns of one product L V a step, so L is never copied
-    per member. Coefficients are zero-padded at the top, so a column stays
-    0 until its own degree. L is read as uint64 through a view and each
-    coefficient is taken mod 2^64; unsigned products and sums wrap, which
-    is exact arithmetic mod 2^64, so no step is checked and every member
-    runs to the end.
-    """
-    V = np.stack(bs, axis=1).astype(np.uint64)
-    coeffs = np.array([[x % 2**64 for x in row] for row in itertools.zip_longest(*qs, fillvalue=0)],
-                      dtype=np.uint64)  # a row per degree, a column per member
-    Lu, v = L.view(np.uint64), np.zeros_like(V)
-    for c in coeffs[::-1]:
-        v = Lu @ v + c * V
-    return ~v.any(axis=0)
+def _horner_zero(L: np.ndarray, b: np.ndarray, q: list[int]) -> bool:
+    """Whether q(L) b = 0 mod 2^64, for an int64 matrix L and q's lifted
+    coefficients (constant first, monic, any size): the powers L^k b,
+    k <= deg q, one product a step on a uint64 view of L, contracted with
+    the coefficients mod 2^64 in one product. Unsigned products and sums
+    wrap, which is exact arithmetic mod 2^64, so no step is checked."""
+    Lu, powers = L.view(np.uint64), np.empty((len(q), len(b)), dtype=np.uint64)
+    powers[0] = b
+    for k in range(1, len(q)):
+        np.matmul(Lu, powers[k - 1], out=powers[k])
+    return not (np.array([c % 2**64 for c in q], dtype=np.uint64) @ powers).any()
 
 
 def _certify(pairs: Iterable[tuple]) -> tuple[list[tuple[int, int]], list[int]]:
@@ -333,6 +327,7 @@ def _certify(pairs: Iterable[tuple]) -> tuple[list[tuple[int, int]], list[int]]:
     matrices: dict[tuple, int] = {}  # (dtype, shape, bytes) of L -> index in validated
     validated: list[np.ndarray] = []  # int64 L of each distinct matrix
     row_sums: dict[int, int] = {}  # R of each distinct matrix, once a pair needs it
+    columns: dict[tuple, np.ndarray] = {}  # (order, dtype, shape, bytes) of b -> flat int64 b
     index: dict[tuple[int, bytes], int] = {}
     members: list[tuple[int, np.ndarray]] = []  # (matrix index, b)
     order = []
@@ -348,7 +343,10 @@ def _certify(pairs: Iterable[tuple]) -> tuple[list[tuple[int, int]], list[int]]:
                 mat = np.frombuffer(key[2], dtype=mat.dtype).reshape(mat.shape)
             validated.append(_exact_matrix(mat))
             m = matrices[key] = len(validated) - 1
-        b = _as_control(B, len(validated[m]))
+        col, n = np.asarray(B), len(validated[m])
+        column = n, col.dtype.str, col.shape, col.tobytes()
+        if (b := columns.get(column)) is None:
+            b = columns[column] = _as_control(col, n)
         member = m, b.tobytes()
         if member not in index:
             index[member] = len(members)
@@ -366,7 +364,6 @@ def _certify(pairs: Iterable[tuple]) -> tuple[list[tuple[int, int]], list[int]]:
             stack = [members[j] for _, j in group]
             residues += (_minpoly_mod(validated, stack, p) if len(stack) > 1
                          else [_krylov_mod(validated[stack[0][0]] % p, stack[0][1], p)])
-        candidates: dict[int, list[tuple]] = {}  # matrix -> (pair, b, lifted q) of its pairs
         for j, (rank, q) in zip(pending, residues):
             m, b = members[j]
             if rank == len(b):
@@ -390,13 +387,8 @@ def _certify(pairs: Iterable[tuple]) -> tuple[list[tuple[int, int]], list[int]]:
                 bound = bound * row_sums[m] + abs(c)
             if modulus > 2 * bound:
                 ranks[j] = rank
-            elif modulus << 64 > 2 * bound:
-                candidates.setdefault(m, []).append((j, b, lifted))
-        for m, held in candidates.items():
-            js, bs, qs = zip(*held)
-            for j, certified in zip(js, _horner_zero(validated[m], bs, qs).tolist()):
-                if certified:
-                    ranks[j] = crt[j][0]
+            elif modulus << 64 > 2 * bound and _horner_zero(validated[m], b, lifted):
+                ranks[j] = rank
         pending = [j for j in pending if ranks[j] is None]
         if not pending:
             return [(rank, len(b)) for rank, (_, b) in zip(ranks, members)], order
@@ -418,10 +410,10 @@ def kalman_rank_exact(L, B) -> int:
     at most r. With R the largest absolute row sum of L, every entry of
     q(L) b is at most bound = sum_k |q_k| R^k in size, and 2^64 is coprime
     to M, so q(L) b = 0 over the integers once M 2^64 > 2 bound and q(L) b
-    = 0 mod 2^64. One _horner_zero run on L checks the latter, skipped
-    when M > 2 bound already decides. Otherwise another prime joins; a
-    higher rank restarts the combination. This is exact_verdicts of the
-    one pair, which also tells how a stack finds q_p.
+    = 0 mod 2^64. One Horner run per pair, _horner_zero, checks the
+    latter, skipped when M > 2 bound already decides. Otherwise another
+    prime joins; a higher rank restarts the combination. This is
+    exact_verdicts of the one pair, which also tells how a stack finds q_p.
     """
     (rank, _), = _certify([(L, B)])[0]
     return rank
@@ -442,7 +434,8 @@ def exact_verdicts(pairs: Iterable[tuple]) -> list[Verdict]:
     distinct L (by dtype, shape and bytes) is validated and converted to
     int64 once, and a pair whose L has the previous pair's key takes its
     index after one comparison; its row sum R is taken once, when a pair
-    first needs it. The certificate runs in rounds: round i takes p =
+    first needs it. Each distinct b (by order, dtype, shape and bytes) is
+    validated once. The certificate runs in rounds: round i takes p =
     _prime(i) to the pairs still undecided, sorted by order and cut into
     stacks where their running total of powers, 8 n (n + 1) bytes a pair,
     passes a multiple of _STACK_BYTES. A stack of one runs _krylov_mod; a
@@ -457,11 +450,10 @@ def exact_verdicts(pairs: Iterable[tuple]) -> list[Verdict]:
     is rank n at once, and only a lower degree forms f(L) b, taken as q_p
     when f(L) b = 0 mod p, as q_p then divides f. Any other pair, and each
     pair whose L is not symmetric mod p, runs _krylov_mod. Residues join
-    the CRT combinations as in kalman_rank_exact, and the q that need a
-    Horner run (M <= 2 bound < M 2^64) take one _horner_zero call per
-    distinct L, its pairs as the columns of one product. A pair that
-    neither decides waits for the next round's prime. Pairs of one (rank,
-    n) share one Verdict.
+    the CRT combinations as in kalman_rank_exact, and a q that needs the
+    check mod 2^64 (M <= 2 bound < M 2^64) takes one Horner run per pair
+    where its bound is computed. A pair that neither decides waits for the
+    next round's prime. Pairs of one (rank, n) share one Verdict.
     """
     certified, order = _certify(pairs)
     shared = {(rank, n): Verdict(controllable=rank == n, method="exact", rank=rank)

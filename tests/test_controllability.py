@@ -870,15 +870,14 @@ class TestKalmanExact:
 
     def test_a_shorter_q_stays_zero_until_its_own_degree(self):
         # P3 at vertex 2 has the minimal polynomial x(x - 3), so g = x - 3
-        # gives g(L) e_2 = -1: nonzero, but in the kernel of L. In a stack
-        # whose longest q has degree 3 (P3 at vertex 1), g must not pick up
-        # a factor of L from the padding
+        # gives g(L) e_2 = -1: nonzero, but in the kernel of L. Checked on
+        # one L beside a q of degree 3 (P3 at vertex 1), g must not pick up
+        # a factor of L from it
         import lapctrl.controllability as ctrl
         L = laplacian(gen_path(3))
-        bs, qs = zip(*[(_ev(3, v).ravel(), q)
-                       for v, q in ((2, [-3, 1]), (2, [0, -3, 1]), (1, [0, 3, -4, 1]))])
-        zero = ctrl._horner_zero(L, bs, qs)
-        assert zero.tolist() == [False, True, True]
+        zero = [ctrl._horner_zero(L, _ev(3, v).ravel(), q)
+                for v, q in ((2, [-3, 1]), (2, [0, -3, 1]), (1, [0, 3, -4, 1]))]
+        assert zero == [False, True, True]
 
     def test_horner_reports_a_wrapped_zero_as_zero(self):
         # L = diag(0, 2^32), b = (1, 1), q = x^2: q(L) b = (0, 2^64), which
@@ -890,8 +889,8 @@ class TestKalmanExact:
         import lapctrl.controllability as ctrl
         Ls = [np.diag([0, 2**32]), np.diag([0, 3])]
         b = np.ones(2, dtype=np.int64)
-        zero = (ctrl._horner_zero(Ls[0], [b], [[0, 0, 1]]).tolist()
-                + ctrl._horner_zero(Ls[1], [b, b], [[0, -3, 1], [0, 0, 1]]).tolist())
+        zero = [ctrl._horner_zero(Ls[m], b, q)
+                for m, q in ((0, [0, 0, 1]), (1, [0, -3, 1]), (1, [0, 0, 1]))]
         assert zero == [True, True, False]
 
     def test_a_wrapped_zero_alone_certifies_nothing(self):
@@ -906,8 +905,47 @@ class TestKalmanExact:
         L[1, 0], L[2, 1] = 2**43, 2**21 * p
         b = np.array([1, 0, 0])
         assert ctrl._krylov_mod(L % p, b, p) == (2, [0, 0, 1])
-        assert ctrl._horner_zero(L, [b], [[0, 0, 1]]).tolist() == [True]
+        assert ctrl._horner_zero(L, b, [0, 0, 1]) is True
         assert kalman_rank_exact(L, b) == 3
+
+    @given(st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=6),
+           st.booleans(), st.integers())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_horner_zero_matches_a_big_integer_evaluation(self, n, k, perturb, seed):
+        # an upper triangular L keeps e_1 ... e_k invariant, so by
+        # Cayley-Hamilton on its leading block q = prod_{i <= k} (x - L_ii)
+        # has q(L) b = 0 for any b on those entries; shifting q's
+        # coefficients by multiples of 2^64 keeps it 0 mod 2^64, and a
+        # perturbed coefficient usually does not. Entries sit near +-2^63,
+        # q is shorter than n + 1 whenever k < n, and Python integers
+        # evaluate q(L) b exactly by Horner's rule
+        import lapctrl.controllability as ctrl
+        rng = random.Random(seed)
+        k = min(k, n)
+
+        def entry():
+            return rng.choice([-2**63 + rng.randrange(2**8), 2**63 - 1 - rng.randrange(2**8),
+                               rng.randrange(-2**63, 2**63), rng.randint(-3, 3)])
+
+        L = [[entry() if j >= i else 0 for j in range(n)] for i in range(n)]
+        b = [0] * n
+        for i in rng.sample(range(k), rng.randint(1, k)):
+            b[i] = 1
+        q = [1]
+        for i in range(k):
+            q = [lo - L[i][i] * hi for lo, hi in zip([0] + q, q + [0])]
+        q = [c + 2**64 * rng.randint(-2**10, 2**10) for c in q[:-1]] + [1]
+        if perturb:
+            q[rng.randrange(k)] += rng.randrange(1, 2**64)
+        order = rng.sample(range(n), n)  # relabel, so that L is not triangular
+        L = [[L[i][j] for j in order] for i in order]
+        b = [b[i] for i in order]
+        value = [0] * n
+        for c in reversed(q):
+            value = [sum(a * x for a, x in zip(row, value)) + c * x for row, x in zip(L, b)]
+        expected = not any(v % 2**64 for v in value)
+        assert expected or perturb
+        assert ctrl._horner_zero(np.array(L, dtype=np.int64), np.array(b), q) is expected
 
     def test_a_large_upper_bound_keeps_the_crt_loop(self, monkeypatch):
         # 2^40 L(P40) at vertex 8 has rank 38 and R = 2^42, so the bound
@@ -1053,6 +1091,18 @@ class TestExactMetamorphic:
         L = laplacian(g)
         assert 2**j * int(L.max()) < 2**63
         assert kalman_rank_exact(2**j * L, _ev(k, v)) == k
+
+    @given(st.integers(min_value=100, max_value=200), st.integers())
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    def test_input_complement_keeps_a_large_rank(self, k, seed):
+        # as at small orders: L 1 = 0, so P (1 - b) = -P b for the projection
+        # P on each eigenspace of a nonzero eigenvalue, and both inputs meet
+        # the kernel
+        rng = random.Random(seed)
+        L = laplacian(random_connected_graph(k, rng))
+        S = rng.sample(range(1, k + 1), rng.randint(1, k - 1))
+        b = _ev(k, *S)
+        assert kalman_rank_exact(L, b) == kalman_rank_exact(L, 1 - b)
 
     @given(st.integers(min_value=2, max_value=10), st.integers())
     @settings(max_examples=100, deadline=None, derandomize=True)
@@ -1200,8 +1250,8 @@ class TestExactVerdicts:
     @pytest.fixture
     def kernel_calls(self, monkeypatch):
         """(prime, sorted member orders) of each Krylov kernel call, a single
-        _krylov_mod run holding one member, and the members that each
-        Horner check decided, as a list of booleans per call (one matrix)."""
+        _krylov_mod run holding one member, and whether each Horner check
+        found q(L) b = 0 mod 2^64, one boolean per call (one pair)."""
         import lapctrl.controllability as ctrl
         krylov, horner = [], []
         single, stacked, zero = ctrl._krylov_mod, ctrl._minpoly_mod, ctrl._horner_zero
@@ -1216,7 +1266,7 @@ class TestExactVerdicts:
 
         def horner_recording(*args):
             decided = zero(*args)
-            horner.append(decided.tolist())
+            horner.append(decided)
             return decided
 
         monkeypatch.setattr(ctrl, "_krylov_mod", single_recording)
@@ -1257,8 +1307,8 @@ class TestExactVerdicts:
         # 2^42) waits for the 74th prime; L(P40) at vertex 8, certified by
         # Horner at the third prime; AR40 at vertices 2 and 3, certified by
         # Horner at the first; K40 at vertex 1, by the CRT bound at the first;
-        # and P40 at vertex 1, of full rank. The first round's one Horner run
-        # holds the two AR40 q, the only ones with M 2^64 past twice the bound
+        # and P40 at vertex 1, of full rank. The first round's Horner runs
+        # are the two AR40 q, the only ones with M 2^64 past twice the bound
         import lapctrl.controllability as ctrl
         krylov, horner = kernel_calls
         path = laplacian(gen_path(40))
@@ -1269,16 +1319,16 @@ class TestExactVerdicts:
         assert [v.rank for v in verdicts] == [_fraction_free_rank(L, b) for L, b in pairs]
         # L(P40) at vertex 8 meets Horner at the second and third primes, and
         # 2^40 L(P40) at vertex 8 only at the last
-        assert horner == [[True, True], [False], [True], [True]]
+        assert horner == [True, True, False, True, True]
         assert krylov[:3] == [(ctrl._prime(0), [40] * 6), (ctrl._prime(1), [40] * 2),
                               (ctrl._prime(2), [40] * 2)]
         assert krylov[3:] == [(ctrl._prime(i), [40]) for i in range(3, 74)]
 
     def test_horner_holds_a_shared_matrix_once(self, kernel_calls):
         # 2^10 L(K128) has q = x^2 - 2^17 x and R = 2^18 * 127, so the CRT
-        # bound leaves every vertex to Horner in the first round. The 128
-        # members run as columns of the one matrix: a copy of it per member
-        # would take 16 MiB
+        # bound leaves every vertex to Horner in the first round. Each of the
+        # 128 runs reads the one matrix through a view: a copy of it per
+        # member, held together, would take 16 MiB
         import tracemalloc
         _, horner = kernel_calls
         L = 2**10 * laplacian(gen_complete(128))
@@ -1290,7 +1340,7 @@ class TestExactVerdicts:
         finally:
             tracemalloc.stop()
         assert [v.rank for v in verdicts] == [2] * 128
-        assert horner == [[True] * 128]
+        assert horner == [True] * 128
         assert peak < 4 * 2**20
 
     @pytest.mark.parametrize("L, b", [
@@ -1299,14 +1349,32 @@ class TestExactVerdicts:
         (np.ones((2, 3)), [1, 1]),
         (laplacian(gen_path(3)), _ev(2, 1)),
         (laplacian(gen_path(3)), [0, 0, 0]),
-    ], ids=["non-integer", "out of range", "not square", "input shape", "zero input"])
+        (laplacian(gen_path(3)), [0, 2, 0]),
+        (laplacian(gen_path(4)), _ev(3, 1)),
+    ], ids=["non-integer", "out of range", "not square", "input shape", "zero input",
+            "not binary", "column of another order"])
     def test_a_bad_pair_raises_kalman_rank_exacts_error(self, L, b):
+        # the last is the good pairs' column, validated beside P3 before it
         with pytest.raises(ValueError) as expected:
             kalman_rank_exact(L, b)
         good = (laplacian(gen_path(3)), _ev(3, 1))
         with pytest.raises(ValueError) as got:
             exact_verdicts([good, (L, b), good])
         assert str(got.value) == str(expected.value)
+
+    def test_a_repeated_column_is_validated_once(self, monkeypatch):
+        # e_2 of order 4 beside three matrices, twice each, is one column;
+        # the same input given as a list is another, and e_2 of order 5
+        # another again, with its own order
+        import lapctrl.controllability as ctrl
+        checked, check = [], ctrl._as_control
+        monkeypatch.setattr(ctrl, "_as_control", lambda b, n: checked.append(n) or check(b, n))
+        b = _ev(4, 2)
+        pairs = [(laplacian(g), b) for g in (gen_path(4), gen_complete(4), _star(4))] * 2
+        pairs += [(laplacian(gen_path(4)), [0, 1, 0, 0]), (laplacian(gen_path(5)), _ev(5, 2))]
+        ranks = [v.rank for v in exact_verdicts(pairs)]
+        assert checked == [4, 4, 5]
+        assert ranks == [_fraction_free_rank(L, b) for L, b in pairs]
 
     @pytest.mark.parametrize("suite", list(SUITES))
     def test_batching_changes_no_verify_case(self, monkeypatch, suite):
