@@ -86,22 +86,6 @@ def composite(spec: CompositeSpec) -> Graph:
     return Graph.from_edges(k1 * k2, edges)
 
 
-_premises: dict[tuple[Graph, int], Verdict] = {}  # (graph, vertex) -> exact verdict
-
-
-def _exact_at(pairs: list[tuple[Graph, int]]) -> list[Verdict]:
-    """The exact verdict of each graph driven at its vertex alone. Pairs not
-    in _premises are decided in one exact_verdicts call and kept there; a
-    batch that could take it past 64 pairs empties it first."""
-    if len(_premises) + len(pairs) > 64:
-        _premises.clear()
-    new = [pair for pair in dict.fromkeys(pairs) if pair not in _premises]
-    laplacians = {g: laplacian(g) for g in dict.fromkeys(g for g, _ in new)}
-    _premises.update(zip(new, exact_verdicts(
-        (laplacians[g], input_vector(g.n, [v])) for g, v in new)))
-    return [_premises[pair] for pair in pairs]
-
-
 def predict_composite(spec: CompositeSpec, w: int) -> Verdict:
     """Theorem-based verdict for the composite driven at copy w's vertex s.
 
@@ -109,17 +93,14 @@ def predict_composite(spec: CompositeSpec, w: int) -> Verdict:
     exact oracle; HypothesisNotMet otherwise). Given that, the composite is
     controllable at input index (w-1)k2+s exactly when the structure is
     controllable at w, so the verdict is the structure's own, relabeled.
-    Both premises are exact verdicts memoized per (graph, vertex), so a
-    sweep over w decides the cell once and each structure vertex once;
-    verify_composite puts every premise of its sweep there in one batch.
+    Both premises, the cell at s and the structure at w, are decided in one
+    exact_verdicts call.
     """
     k1, k2 = spec.structure.n, spec.cell.n
     if not 1 <= _integer(w) <= k1:
         raise ValueError(f"structure vertex {w} out of range 1..{k1}")
-    try:
-        cell, structure = _premises[spec.cell, spec.s], _premises[spec.structure, w]
-    except KeyError:
-        cell, structure = _exact_at([(spec.cell, spec.s), (spec.structure, w)])
+    cell, structure = exact_verdicts((laplacian(g), input_vector(g.n, [v]))
+                                     for g, v in ((spec.cell, spec.s), (spec.structure, w)))
     if not cell.controllable:
         raise HypothesisNotMet(
             f"cell is not single-input controllable at vertex {spec.s} "

@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from lapctrl import (
     ChainSpec,
@@ -15,6 +17,7 @@ from lapctrl import (
     append_path,
     chain_antiregular,
     composite,
+    controllable_vertices,
     exact_verdict,
     exact_verdicts,
     gen_antiregular,
@@ -33,6 +36,22 @@ from lapctrl import (
 # ---------------------------------------------------------------------------
 # composite graphs
 # ---------------------------------------------------------------------------
+
+_THEOREM4_PINS = {True: (7, 6, 5), False: (7, 6, 3)}  # (k1, k2, seed) of each outcome
+
+
+def _random_composite(k1, k2, seed):
+    """A random structure of order k1, a random cell of order k2 with a
+    vertex s that controls it, and a structure vertex w; None when no
+    vertex controls the cell."""
+    rng = random.Random(seed)
+    structure, cell = random_connected_graph(k1, rng), random_connected_graph(k2, rng)
+    controlling = sorted(controllable_vertices(cell))
+    if not controlling:
+        return None
+    spec = CompositeSpec(structure=structure, cell=cell, s=rng.choice(controlling))
+    return spec, rng.randint(1, k1)
+
 
 class TestComposite:
     def test_two_by_two_edges(self):
@@ -83,54 +102,67 @@ class TestComposite:
         with pytest.raises(ValueError):
             predict_composite(spec, 3)
 
-    @staticmethod
-    def _count_premises(monkeypatch, decided):
-        """Empty the premise memo for this test and record the (L, b) of
-        every premise that compose hands to the exact oracle."""
-        import lapctrl.compose as compose
+    @given(st.integers(min_value=2, max_value=10), st.integers(min_value=2, max_value=10),
+           st.integers())
+    @example(*_THEOREM4_PINS[True])
+    @example(*_THEOREM4_PINS[False])
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    def test_theorem4_on_random_structures_and_cells(self, k1, k2, seed):
+        # with the cell controllable at s, the composite driven at copy w's
+        # vertex s is controllable exactly when the structure is at w
+        drawn = _random_composite(k1, k2, seed)
+        assume(drawn is not None)
+        spec, w = drawn
+        verdict = predict_composite(spec, w)
+        assert verdict.input_vertex == (w - 1) * k2 + spec.s
+        oracle = exact_verdict(laplacian(composite(spec)),
+                               input_vector(k1 * k2, [verdict.input_vertex]))
+        assert verdict.controllable == oracle.controllable
 
-        def counting(pairs):
+    def test_theorem4_pins_cover_both_outcomes(self):
+        for outcome, pin in _THEOREM4_PINS.items():
+            assert predict_composite(*_random_composite(*pin)).controllable == outcome
+
+    @staticmethod
+    def _record_exact_calls(monkeypatch, module, calls):
+        """Record the (L, b) pairs of each exact_verdicts call that module makes."""
+        def recording(pairs):
             pairs = list(pairs)
-            decided.extend(pairs)
+            calls.append(pairs)
             return exact_verdicts(pairs)
 
-        monkeypatch.setattr(compose, "_premises", {})
-        monkeypatch.setattr(compose, "exact_verdicts", counting)
+        monkeypatch.setattr(module, "exact_verdicts", recording)
 
-    def test_premises_are_decided_once_per_graph_and_vertex(self, monkeypatch):
+    def test_both_premises_are_decided_in_one_call(self, monkeypatch):
+        import lapctrl.compose as compose
         spec = CompositeSpec(structure=gen_antiregular(7), cell=gen_antiregular(5), s=3)
-        decided = []
-        self._count_premises(monkeypatch, decided)
-        for _ in range(2):
-            verdicts = [predict_composite(spec, w) for w in range(1, 8)]
-        # the cell at s once, then each structure vertex once
-        assert [(len(L), int(np.flatnonzero(B)[0]) + 1) for L, B in decided] == (
-            [(5, 3)] + [(7, w) for w in range(1, 8)])
+        calls = []
+        self._record_exact_calls(monkeypatch, compose, calls)
+        verdicts = [predict_composite(spec, w) for w in range(1, 8)]
+        # each prediction asks once, for the cell of order 5 at s and the
+        # structure of order 7 at w, and keeps nothing for the next
+        assert [[(len(L), *(np.flatnonzero(B) + 1)) for L, B in pairs] for pairs in calls] == [
+            [(5, 3), (7, w)] for w in range(1, 8)]
         L = laplacian(spec.structure)
         assert [v.controllable for v in verdicts] == [
             exact_verdict(L, input_vector(7, [w])).controllable for w in range(1, 8)]
 
-    def test_premise_memo_is_emptied_before_it_passes_64_pairs(self, monkeypatch):
-        import lapctrl.compose as compose
-        monkeypatch.setattr(compose, "_premises", {})
-        spec = CompositeSpec(structure=gen_complete(70), cell=gen_path(2), s=1)
-        sizes = []
-        for w in range(1, 71):
-            # K_n (n >= 3) is controllable from no single vertex
-            assert not predict_composite(spec, w).controllable
-            sizes.append(len(compose._premises))
-        # the cell and w = 1, then one more w a call while the two asked for fit
-        # in 64 pairs, then both afresh
-        assert sizes == [*range(2, 64), *range(2, 10)]
+    def test_verify_composite_checks_theorem4_without_predict_composite(self, monkeypatch):
+        import lapctrl.verify as verify
 
-    def test_verify_composite_decides_no_premise_twice(self, monkeypatch):
-        from lapctrl.verify import verify_composite
-        decided = []
-        self._count_premises(monkeypatch, decided)
-        verify_composite()
-        keys = [(L.tobytes(), B.tobytes()) for L, B in decided]
-        # every vertex of P, AR and K of orders 2..5 once, P2 = AR2 = K2 counted once
-        assert len(keys) == len(set(keys)) == 3 * (2 + 3 + 4 + 5) - 2 * 2
+        def refuse(spec, w):
+            raise AssertionError("verify_composite called predict_composite")
+
+        monkeypatch.setattr(verify, "predict_composite", refuse)
+        calls = []
+        self._record_exact_calls(monkeypatch, verify, calls)
+        assert all(case["pass"] for case in verify.verify_composite())
+        # first the 42 vertices of P, AR and K of orders 2..5, where P2 = AR2 = K2
+        # repeats two pairs twice
+        family = calls[0]
+        assert [(len(L), *(np.flatnonzero(B) + 1)) for L, B in family] == [
+            (k, v) for _ in range(3) for k in range(2, 6) for v in range(1, k + 1)]
+        assert len({(L.tobytes(), B.tobytes()) for L, B in family}) == 38
 
 
 def _canonical_form(n, edges):

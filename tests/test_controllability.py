@@ -893,6 +893,23 @@ class TestKalmanExact:
                 for m, q in ((0, [0, 0, 1]), (1, [0, -3, 1]), (1, [0, 0, 1]))]
         assert zero == [True, True, False]
 
+    def test_horner_reads_the_matrix_in_place(self):
+        # 2^10 L(K512) has q = x^2 - 2^19 x, so q(L) b = 0 for every b. L
+        # takes 2 MiB, so a run that copied it (say to uint64) could not
+        # stay under 1 MiB; the powers and coefficients take about 12 KiB
+        import tracemalloc
+        import lapctrl.controllability as ctrl
+        L = 2**10 * laplacian(gen_complete(512))
+        b = _ev(512, 1).ravel()
+        tracemalloc.start()
+        try:
+            zero = ctrl._horner_zero(L, b, [0, -2**19, 1])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert zero is True
+        assert peak < 2**20
+
     def test_a_wrapped_zero_alone_certifies_nothing(self):
         # L e_1 = 2^43 e_2 and L e_2 = 2^21 p e_3 for the first prime p, so
         # L^2 e_1 = 2^64 p e_3: 0 mod p and 0 mod 2^64, but not 0. The first
@@ -1328,7 +1345,9 @@ class TestExactVerdicts:
         # 2^10 L(K128) has q = x^2 - 2^17 x and R = 2^18 * 127, so the CRT
         # bound leaves every vertex to Horner in the first round. Each of the
         # 128 runs reads the one matrix through a view: a copy of it per
-        # member, held together, would take 16 MiB
+        # member, held together, would take 16 MiB. A copy made and freed
+        # within each run stays under this bound; the one-run test
+        # test_horner_reads_the_matrix_in_place catches it
         import tracemalloc
         _, horner = kernel_calls
         L = 2**10 * laplacian(gen_complete(128))
