@@ -146,77 +146,105 @@ def _cmd_export(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-@functools.cache  # built once per process; main only reads it
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="lapctrl",
-        description="Graph families, Laplacian spectra, and single-input "
-                    "Laplacian controllability.")
-    sub = parser.add_subparsers(dest="verb", required=True)
-    verbs = {}
-    for verb, func, text in (
-            ("gen", _cmd_gen, "generate a graph family member"),
-            ("spectrum", _cmd_spectrum, "eigenvalues and eigenvectors of the Laplacian"),
-            ("check", _cmd_check, "test controllability for one input"),
-            ("compose", _cmd_compose, "composite of a structure and a cell graph"),
-            ("chain", _cmd_chain, "chain of antiregular blocks"),
-            ("verify", _cmd_verify, "run a theorem-versus-oracle sweep"),
-            ("export", _cmd_export, "re-emit a graph as DOT or normalized JSON")):
-        verbs[verb] = sub.add_parser(verb, help=text)
-        verbs[verb].set_defaults(func=func)
-    for verb in ("spectrum", "check", "export"):
-        verbs[verb].add_argument("graph", help="graph JSON file, or - for stdin")
+_GRAPH_HELP = "graph JSON file, or - for stdin"
 
-    families = verbs["gen"].add_subparsers(dest="family", required=True)
+
+def _gen_arguments(p: argparse.ArgumentParser) -> None:
+    families = p.add_subparsers(dest="family", required=True)
     for family, make, option, kind, text in (
             ("path", gen_path, "--k", int, "vertex count"),
             ("antiregular", gen_antiregular, "--k", int, "vertex count"),
             ("threshold", gen_threshold, "--creation", str, "creation word over J/U, e.g. UJUJ"),
             ("complete", gen_complete, "--k", int, "vertex count")):
-        p = families.add_parser(family, help=f"the {family} family")
-        p.add_argument(option, dest="value", metavar=option[2:].upper(), type=kind,
+        f = families.add_parser(family, help=f"the {family} family")
+        f.add_argument(option, dest="value", metavar=option[2:].upper(), type=kind,
                        required=True, help=text)
-        p.set_defaults(make=make)
+        f.add_argument("--output", "-o")
+        f.set_defaults(make=make)
 
-    p = verbs["check"]
+
+def _spectrum_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("graph", help=_GRAPH_HELP)
+    p.add_argument("--output", "-o")
+
+
+def _check_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("graph", help=_GRAPH_HELP)
     p.add_argument("--input", type=int, nargs="+", required=True,
                    help="vertices wired to the single input")
     p.add_argument("--method", choices=[*_deciders(), "all"], default="pbh")
     p.add_argument("--expect", choices=["controllable", "uncontrollable"])
+    p.add_argument("--output", "-o")
 
-    p = verbs["compose"]
+
+def _compose_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--structure", required=True, help="structure graph JSON file")
     p.add_argument("--cell", required=True, help="cell graph JSON file")
     p.add_argument("--s", type=int, required=True, help="composite vertex of the cell")
     p.add_argument("--predict", type=int, metavar="W",
                    help="predict controllability at structure vertex W instead "
                         "of emitting the graph")
+    p.add_argument("--output", "-o")
 
-    p = verbs["chain"]
+
+def _chain_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--c", type=int, required=True, help="block count")
     p.add_argument("--k2", type=int, required=True, help="block order")
     p.add_argument("--links", default="", help="junction word over D/T, length c-1")
     p.add_argument("--tail", type=int, default=0,
                    help="length of a path appended at block 1's degree-repeating vertex")
+    p.add_argument("--output", "-o")
 
-    suites = verbs["verify"].add_subparsers(dest="suite", required=True)
+
+def _verify_arguments(p: argparse.ArgumentParser) -> None:
+    suites = p.add_subparsers(dest="suite", required=True)
     for suite in SUITES:
         suites.add_parser(suite, help=f"the {suite} sweep")
     suites.choices["majorization"].add_argument("--seed", type=int, default=DEFAULT_SEED,
                                                 help="random seed")
 
-    verbs["export"].add_argument("--dot", action="store_true",
-                                 help="emit DOT instead of normalized JSON")
 
-    for p in [*families.choices.values(),
-              *(verbs[v] for v in ("spectrum", "check", "compose", "chain", "export"))]:
-        p.add_argument("--output", "-o")
+def _export_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("graph", help=_GRAPH_HELP)
+    p.add_argument("--dot", action="store_true", help="emit DOT instead of normalized JSON")
+    p.add_argument("--output", "-o")
 
+
+_VERBS = {  # verb: (command, help text, argument adder), in the order help lists them
+    "gen": (_cmd_gen, "generate a graph family member", _gen_arguments),
+    "spectrum": (_cmd_spectrum, "eigenvalues and eigenvectors of the Laplacian",
+                 _spectrum_arguments),
+    "check": (_cmd_check, "test controllability for one input", _check_arguments),
+    "compose": (_cmd_compose, "composite of a structure and a cell graph", _compose_arguments),
+    "chain": (_cmd_chain, "chain of antiregular blocks", _chain_arguments),
+    "verify": (_cmd_verify, "run a theorem-versus-oracle sweep", _verify_arguments),
+    "export": (_cmd_export, "re-emit a graph as DOT or normalized JSON", _export_arguments),
+}
+
+
+@functools.cache  # built once per process and verb; main only reads it
+def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
+    """The top level with every verb's subtree, or with only verb's, which
+    parses that verb's commands as the full tree does, with the same texts."""
+    parser = argparse.ArgumentParser(
+        prog="lapctrl",
+        description="Graph families, Laplacian spectra, and single-input "
+                    "Laplacian controllability.")
+    # a lone verb's usage names every verb, as the full tree's does; the full
+    # tree keeps no metavar, so that a missing verb is reported as "verb"
+    sub = parser.add_subparsers(dest="verb", required=True,
+                                metavar=verb and "{" + ",".join(_VERBS) + "}")
+    for name, (func, text, add_arguments) in _VERBS.items():
+        if verb in (None, name):
+            p = sub.add_parser(name, help=text)
+            p.set_defaults(func=func)
+            add_arguments(p)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0]) if argv and argv[0] in _VERBS else build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)

@@ -61,15 +61,16 @@ class Eigenspace:
 
 def _fix_signs(v: np.ndarray) -> np.ndarray:
     """Flip each column so its largest-magnitude entry (lowest index on ties)
-    is positive; every zero entry comes back as +0.0."""
-    lead = np.abs(v).argmax(axis=0)
-    flip = v[lead, np.arange(v.shape[1])] < 0
+    is positive; every zero entry comes back as +0.0. v may be a stack."""
+    lead = np.abs(v).argmax(axis=-2, keepdims=True)
+    members = (np.arange(len(v))[:, None, None],) if v.ndim == 3 else ()
+    flip = v[(*members, lead, np.arange(v.shape[-1]))] < 0
     return np.where(flip, -v, v) + 0.0
 
 
-def _check_square(m) -> np.ndarray:
+def _check_square(m, ndims=(2,)) -> np.ndarray:
     mat = np.asarray(m)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or not mat.size:
+    if mat.ndim not in ndims or mat.shape[-1] != mat.shape[-2] or not mat.size:
         raise ValueError(f"expected a nonempty square matrix, got shape {mat.shape}")
     if mat.dtype.kind not in _REAL_KINDS:
         raise ValueError("matrix must be real")
@@ -79,7 +80,7 @@ def _check_square(m) -> np.ndarray:
 
 
 def _check_symmetric(mat: np.ndarray) -> None:
-    if not (mat == mat.T).all():
+    if not (mat == mat.swapaxes(-1, -2)).all():
         raise ValueError("matrix is not symmetric")
 
 
@@ -89,7 +90,9 @@ _last: tuple = ((), None)  # eig_sym's most recent (key, result)
 def eig_sym(m) -> EigDecomp:
     """Eigendecomposition of a symmetric matrix by LAPACK (numpy.linalg.eigh).
 
-    The input must be finite and exactly symmetric. Values come back
+    The input must be finite and exactly symmetric. A stack (k, n, n) of
+    such matrices is decomposed in one eigh call, each member checked as if
+    alone, and its arrays lead with the member axis. Values come back
     ascending; each modal column is flipped so its largest-magnitude entry
     (lowest index on ties) is positive. A LAPACK failure raises ConvergenceError, as does a
     residual above 1e-8 * the max row sum of |m|. A matrix with the same
@@ -97,7 +100,7 @@ def eig_sym(m) -> EigDecomp:
     back, the same object; its values and modal arrays are read-only.
     """
     global _last
-    raw = _check_square(m)
+    raw = _check_square(m, (2, 3))
     key = raw.dtype.str, raw.shape, raw.tobytes()
     last_key, last_dec = _last
     if last_key == key:
@@ -111,10 +114,11 @@ def eig_sym(m) -> EigDecomp:
         raise ConvergenceError(f"eigensolver failed: {exc}") from exc
     modal = _fix_signs(v)
 
-    scale = float(np.abs(a).sum(axis=1).max())
-    residual = float(np.abs(a @ modal - modal * values).max())
-    if residual > _RESIDUAL_TOL * max(scale, 1e-300):
-        raise ConvergenceError(f"eigen-residual {residual:.3e} above 1e-8 * scale")
+    scale = np.abs(a).sum(axis=-1).max(axis=-1, initial=1e-300)
+    residual = np.abs(a @ modal - modal * values[..., None, :]).max(axis=(-2, -1))
+    high = residual > _RESIDUAL_TOL * scale
+    if np.count_nonzero(high):
+        raise ConvergenceError(f"eigen-residual {residual[high][0]:.3e} above 1e-8 * scale")
     values.setflags(write=False)
     modal.setflags(write=False)
     dec = EigDecomp(values=values, modal=modal)

@@ -522,7 +522,7 @@ def test_readme_library_examples_run(block):
     exec(compile(block, "README.md", "exec"), {})
 
 
-def test_two_main_calls_build_one_parser(monkeypatch, capsys):
+def test_two_main_calls_build_one_parser(monkeypatch, capsys, path3_file):
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -535,9 +535,74 @@ def test_two_main_calls_build_one_parser(monkeypatch, capsys):
     try:
         assert main(["gen", "path", "--k", "2"]) == 0
         assert main(["gen", "complete", "--k", "3"]) == 0
+        gen = list(built)
+        # check's tree is the top level and check's own parser, built once
+        for _ in range(2):
+            assert main(["check", path3_file, "--input", "1"]) == 0
+            assert built[len(gen):] == ["lapctrl", "lapctrl check"]
     finally:
         build_parser.cache_clear()
-    assert built.count("lapctrl") == 1
+    assert gen.count("lapctrl") == 1
+
+
+def _subtrees(parser):
+    """Each verb's parser under parser, and each gen family's and verify suite's."""
+    for verb, p in _subcommands(parser).items():
+        yield verb, p
+        if verb in ("gen", "verify"):
+            yield from ((f"{verb} {name}", q) for name, q in _subcommands(p).items())
+
+
+_VERB_NAMES = ["gen", "spectrum", "check", "compose", "chain", "verify", "export"]
+_USAGE = "usage: lapctrl [-h] {gen,spectrum,check,compose,chain,verify,export} ...\n"
+
+
+@pytest.mark.parametrize("verb", _VERB_NAMES)
+def test_a_verbs_own_tree_prints_the_full_trees_texts(verb):
+    full, own = build_parser(), build_parser(verb)
+    assert list(_subcommands(full)) == _VERB_NAMES
+    assert own.format_usage() == full.format_usage() == _USAGE
+    mine = dict(_subtrees(own))
+    theirs = {name: p for name, p in _subtrees(full) if name.split()[0] == verb}
+    assert list(mine) == list(theirs)
+    for name, p in mine.items():
+        assert p.format_help() == theirs[name].format_help()
+        assert p.format_usage() == theirs[name].format_usage()
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "path", "--creation", "UJ"],
+    ["spectrum"],
+    ["check", "g.json", "--input", "1", "--zz"],
+    ["compose", "--structure", "a.json", "--cell", "b.json"],
+    ["chain", "--c", "two", "--k2", "3"],
+    ["verify", "cj", "--seed", "3"],
+    ["export", "g.json", "--dott"],
+    [],
+    ["-h"],
+    ["chec", "g.json", "--input", "1"],
+], ids=[*_VERB_NAMES, "no-verb", "help", "misspelt-verb"])
+def test_main_parses_as_the_full_tree_does(capsys, argv):
+    """main builds only the named verb's tree, or the full tree when argv
+    names no verb; either way it prints what the full tree prints."""
+    results = []
+    for parse in (main, build_parser().parse_args):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        results.append((exc.value.code, *capsys.readouterr()))
+    assert results[0] == results[1]
+    code, out, err = results[0]
+    if argv == ["-h"]:
+        assert (code, out, err) == (0, build_parser().format_help(), "")
+    else:
+        assert code == 2 and out == "" and "error: " in err
+    if argv[:1] in ([], ["chec"], ["check"], ["verify"]):  # errors of the top level
+        assert err.startswith(_USAGE)
+    if not argv:
+        assert err.endswith("error: the following arguments are required: verb\n")
+    if argv[:1] == ["chec"]:
+        assert "invalid choice: 'chec'" in err
+        assert all(verb in err.split("choose from", 1)[1] for verb in _VERB_NAMES)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lapctrl import (
+    ConvergenceError,
     antiregular_modal,
     antiregular_spectrum,
     check_majorization,
@@ -49,6 +50,57 @@ class TestEigSym:
             values, modal = _eig_sym_reference(L)
             assert dec.values.tobytes() == values.tobytes()
             assert dec.modal.tobytes() == modal.tobytes()
+
+    @pytest.mark.parametrize("seed", [DEFAULT_SEED, 41])
+    def test_stack_members_are_bit_identical_to_single_calls(self, seed):
+        # verify_majorization's graphs at this seed, decomposed by order
+        rng = random.Random(seed)
+        graphs = [random_connected_graph(rng.randint(2, 10), rng) for _ in range(100)]
+        for k in sorted({g.n for g in graphs}):
+            Ls = [laplacian(g) for g in graphs if g.n == k]
+            stack = eig_sym(np.stack(Ls))
+            assert stack.values.shape == (len(Ls), k) and stack.modal.shape == (len(Ls), k, k)
+            for j, L in enumerate(Ls):
+                single = eig_sym(L)
+                assert stack.values[j].tobytes() == single.values.tobytes()
+                assert stack.modal[j].tobytes() == single.modal.tobytes()
+
+    @pytest.mark.parametrize("bad, message", [
+        ("asymmetric", "matrix is not symmetric"),
+        (np.inf, "non-finite entries"),
+        (np.nan, "non-finite entries"),
+    ])
+    def test_stack_rejects_one_bad_member(self, bad, message):
+        stack = np.stack([laplacian(gen_path(4)), laplacian(gen_complete(4)),
+                          laplacian(gen_antiregular(4))]).astype(float)
+        if bad == "asymmetric":
+            stack[1, 0, 1] = 0.0
+        else:
+            stack[2, 0, 1] = stack[2, 1, 0] = bad
+        with pytest.raises(ValueError, match=message):
+            eig_sym(stack)
+
+    def test_stack_checks_each_members_residual(self, monkeypatch):
+        eigh = np.linalg.eigh
+
+        def one_wrong_value(a):
+            values, v = eigh(a)
+            values[1, -1] += 1.0
+            return values, v
+
+        monkeypatch.setattr(np.linalg, "eigh", one_wrong_value)
+        # member 1's eigenvectors are unit vectors, so its residual is the shift
+        stack = np.stack([laplacian(gen_path(3)), np.diag([1, 2, 3])])
+        with pytest.raises(ConvergenceError, match="eigen-residual 1.000e\\+00 above"):
+            eig_sym(stack)
+
+    def test_stack_is_remembered_apart_from_its_members(self):
+        stack = np.stack([laplacian(gen_path(4)), laplacian(gen_complete(4))])
+        dec = eig_sym(stack)
+        assert eig_sym(stack.copy()) is dec
+        member = eig_sym(stack[0])
+        assert member.values.shape == (4,) and eig_sym(stack) is not dec
+        assert not dec.values.flags.writeable and not dec.modal.flags.writeable
 
     def test_path3_spectrum(self):
         dec = eig_sym(laplacian(gen_path(3)))
