@@ -158,6 +158,60 @@ _STACK_BYTES = 1 << 21  # powers x_k of a stack of pairs, the one cut _certify m
 
 
 def _krylov_mod(L: np.ndarray, b: np.ndarray, p: int) -> tuple[int, list[int] | None]:
+    """Krylov rank r of (L, b) over GF(p), for L with entries in [0, p), and
+    q_p as _eliminate_mod gives it.
+
+    For L = L^T with n (p - 1)^2 < 2^53, the unnormalized Lanczos recurrence
+    over GF(p) (Lanczos 1950; LaMacchia & Odlyzko, CRYPTO '90): v_0 = b,
+    v_k+1 = L v_k - a_k v_k - c_k v_k-1 with d_k = v_k . v_k, a_k = v_k . L v_k
+    / d_k and c_k = d_k / d_k-1. A step is one float64 mat-vec and two int64
+    dot products on residues in [0, p), each exact below n (p - 1)^2. While
+    every d_j is nonzero the v_j are pairwise orthogonal with nonzero
+    self-products, hence independent, and v_k = P_k(L) b with P_k+1 = (x -
+    a_k) P_k - c_k P_k-1 monic of degree k. So n vectors give rank n, and
+    v_r = 0 gives rank r and q_p = P_r. A breakdown (d_k = 0 while v_k !=
+    0), an L not symmetric mod p, or n (p - 1)^2 >= 2^53 runs _eliminate_mod
+    instead.
+    """
+    n = len(b)
+    if n * (p - 1) ** 2 >= 2**53 or not (L == L.T).all():
+        return _eliminate_mod(L, b, p)
+    Lf, v, prev = L.astype(np.float64), b.astype(np.int64), 0
+    steps, inverse = [], 0  # (a_k, c_k) of each step; 1 / d_k-1
+    for k in range(n):
+        d = int(v.dot(v)) % p
+        if not d:
+            return _eliminate_mod(L, b, p) if v.any() else (k, _lanczos_q(steps, p))
+        if k == n - 1:
+            break
+        c, inverse = d * inverse % p, pow(d, -1, p)
+        w = Lf.dot(v).astype(np.int64)
+        w %= p
+        a = int(v.dot(w)) * inverse % p
+        steps.append((a, c))
+        w -= a * v
+        prev *= c
+        w -= prev
+        w %= p
+        prev, v = v, w
+    return n, None
+
+
+def _lanczos_q(steps: list[tuple[int, int]], p: int) -> list[int]:
+    """P_r mod p from the recurrence's (a_k, c_k), coefficients constant first."""
+    # P_k sits in q[1:], so q[:-1] is x P_k
+    prev, q = np.zeros(len(steps) + 2, dtype=np.int64), np.zeros(len(steps) + 2, dtype=np.int64)
+    q[1] = 1
+    for a, c in steps:
+        prev *= -c
+        prev[1:] += q[:-1]
+        prev[1:] -= a * q[1:]
+        prev %= p
+        prev, q = q, prev
+    return q[1:].tolist()
+
+
+def _eliminate_mod(L: np.ndarray, b: np.ndarray, p: int) -> tuple[int, list[int] | None]:
     """Krylov rank r of (L, b) over GF(p), for L with entries in [0, p).
 
     The rows L^k b are built one mat-vec at a time, in blocks that double
@@ -399,8 +453,12 @@ def kalman_rank_exact(L, B) -> int:
 
     The Krylov chain runs modulo descending primes below 2^21, and the
     answer is certified by two bounds, so no outcome rests on probability.
-    Modulo each prime, _krylov_mod eliminates the pair's Krylov rows by
-    right-looking LU, and q_p comes from the multiples it keeps.
+    Modulo each prime, _krylov_mod runs the Lanczos recurrence on a pair
+    whose L is symmetric mod p, exact in float64 while n (p - 1)^2 < 2^53,
+    and q_p comes from its recorded coefficients; a breakdown, an L not
+    symmetric mod p or a larger n eliminates the Krylov rows by
+    right-looking LU instead (_eliminate_mod), and q_p comes from the
+    multiples it keeps.
     Lower bound: a rank mod p never exceeds the rank over the rationals, so
     a rank of n mod any prime returns n at once. Upper bound: the primes
     that reach the largest residue rank r each give the monic q_p of degree
@@ -438,7 +496,10 @@ def exact_verdicts(pairs: Iterable[tuple]) -> list[Verdict]:
     validated once. The certificate runs in rounds: round i takes p =
     _prime(i) to the pairs still undecided, sorted by order and cut into
     stacks where their running total of powers, 8 n (n + 1) bytes a pair,
-    passes a multiple of _STACK_BYTES. A stack of one runs _krylov_mod; a
+    passes a multiple of _STACK_BYTES. A stack of one runs _krylov_mod: the
+    Lanczos recurrence over GF(p) when L is symmetric mod p and n (p - 1)^2
+    < 2^53, certified by its pairwise orthogonal vectors, with q_p from its
+    coefficients, and the elimination after a breakdown or otherwise. A
     larger one, always below order 512, builds x_k = L^k b, k <= n, by one
     float64 product a step for the pairs of one L. With R the largest
     absolute column sum of L mod p in residues of least size, the powers

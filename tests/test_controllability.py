@@ -660,7 +660,10 @@ class TestKalmanExact:
         # and integer matrices that are not symmetric. These take the largest
         # prime and 2^24 - 3, where n (p - 1)^2 passes 2^53 from order 33, so
         # the products past the first block run in int64 as they do at the
-        # oracle's primes from order 2048
+        # oracle's primes from order 2048. Each case runs the lone-pair kernel
+        # (Lanczos on a symmetric L below that bound) and the elimination
+        # itself, so the elimination's blocks stay covered where the Lanczos
+        # recurrence decides
         import lapctrl.controllability as ctrl
         rng = random.Random(17)
         primes = ctrl._prime(0), ctrl._prime(7)
@@ -685,13 +688,70 @@ class TestKalmanExact:
                 for p in primes:
                     result = ctrl._krylov_mod(L % p, b, p)
                     assert result == _krylov_mod_reference(L % p, b, p), (L.tolist(), v, p)
+                    assert ctrl._eliminate_mod(L % p, b, p) == result, (L.tolist(), v, p)
                     (full if result[0] == len(L) else deficient).add(result[0])
         assert {16, 17, 32, 33, 40, 63, 64, 65, 70, 128, 129, 130} <= full
         assert {63, 64, 65, 128, 129} <= deficient
 
     @pytest.fixture
-    def elimination_runs(self, monkeypatch):
-        """(matrix bytes, order) of each _krylov_mod run."""
+    def eliminations(self, monkeypatch):
+        """The prime of each elimination (_eliminate_mod) run."""
+        import lapctrl.controllability as ctrl
+        runs = []
+        eliminate = ctrl._eliminate_mod
+
+        def recording(L, b, p):
+            runs.append(p)
+            return eliminate(L, b, p)
+
+        monkeypatch.setattr(ctrl, "_eliminate_mod", recording)
+        return runs
+
+    def test_a_lone_pair_falls_back_to_the_elimination(self, eliminations):
+        # the three cases that the Lanczos recurrence leaves to the
+        # elimination. The 2038/201/21 matrix at e_1 has d_1 = 2p, zero mod
+        # the first prime p while v_1 = L e_1 is not: a breakdown; the second
+        # prime, where d_1 is not zero, runs the recurrence. L e_1 = e_2 is not
+        # symmetric, and the first prime gives its full rank. And at 2^24 -
+        # 3, n (p - 1)^2 passes 2^53 from order 33
+        import lapctrl.controllability as ctrl
+        p = ctrl._prime(0)
+        isotropic = np.zeros((4, 4), dtype=np.int64)
+        isotropic[0, 1:] = isotropic[1:, 0] = 2038, 201, 21
+        for L, b in ((isotropic, _ev(4, 1)), (np.array([[0, 0], [1, 0]]), _ev(2, 1))):
+            eliminations.clear()
+            assert kalman_rank_exact(L, b) == _fraction_free_rank(L, b) == 2
+            assert eliminations == [p]
+        q = 2**24 - 3
+        for k, runs in ((32, []), (33, [q])):
+            eliminations.clear()
+            assert ctrl._krylov_mod(laplacian(gen_path(k)) % q, _ev(k, 1).ravel(), q) == (k, None)
+            assert eliminations == runs
+
+    def test_lanczos_matches_the_reference_kernel_at_small_primes(self, eliminations):
+        # modulo 13 and 101 a self-product d_k = 0 while v_k is not zero is
+        # common, so breakdowns and their elimination runs come beside the
+        # recurrence: every vertex of P, K and AR up to order 24, and random
+        # symmetric matrices with entries in -3..3 at one vertex each
+        import lapctrl.controllability as ctrl
+        rng = random.Random(29)
+        cases = [(laplacian(g), _ev(g.n, v).ravel()) for k in range(2, 25)
+                 for g in (gen_path(k), gen_complete(k), gen_antiregular(k))
+                 for v in range(1, k + 1)]
+        for _ in range(60):
+            k = rng.randint(2, 24)
+            A = np.array([[rng.randint(-3, 3) for _ in range(k)] for _ in range(k)])
+            cases.append((np.triu(A) + np.triu(A, 1).T, _ev(k, rng.randint(1, k)).ravel()))
+        for p in (13, 101):
+            eliminations.clear()
+            for L, b in cases:
+                assert ctrl._krylov_mod(L % p, b, p) == _krylov_mod_reference(L % p, b, p), (
+                    L.tolist(), b.tolist(), p)
+            assert 0 < len(eliminations) < len(cases)
+
+    @pytest.fixture
+    def lone_runs(self, monkeypatch):
+        """(matrix bytes, order) of each lone-pair kernel (_krylov_mod) run."""
         import lapctrl.controllability as ctrl
         runs = []
         krylov = ctrl._krylov_mod
@@ -703,7 +763,7 @@ class TestKalmanExact:
         monkeypatch.setattr(ctrl, "_krylov_mod", recording)
         return runs
 
-    def test_stacked_kernel_matches_the_reference_kernel(self, elimination_runs):
+    def test_stacked_kernel_matches_the_reference_kernel(self, lone_runs):
         # one _minpoly_mod call holds every order at once: P, K and AR of
         # orders 2..40 at every vertex, random graphs up to order 60 at
         # random inputs, and integer matrices that are not symmetric, which
@@ -733,10 +793,10 @@ class TestKalmanExact:
         runs = {}
         for p, stack in ((ctrl._prime(0), members), (ctrl._prime(7), small), (101, small),
                          (13, small)):
-            elimination_runs.clear()
+            lone_runs.clear()
             result = ctrl._minpoly_mod(Ls, stack, p)
             assert result == [_krylov_mod_reference(Ls[m] % p, b, p) for m, b in stack], p
-            runs[p] = len(elimination_runs)
+            runs[p] = len(lone_runs)
             if p == ctrl._prime(0):
                 assert {2, 39, 40} <= {rank for rank, _ in result}
         assert runs[ctrl._prime(0)] == asymmetric > 0
@@ -759,7 +819,7 @@ class TestKalmanExact:
         assert ctrl._minpoly_mod(Ls, members, p) == [
             _krylov_mod_reference(Ls[m] % p, b, p) for m, b in members]
 
-    def test_a_sequence_that_misses_q_runs_the_elimination(self, elimination_runs):
+    def test_a_sequence_that_misses_q_runs_the_elimination(self, lone_runs):
         # L e_1 = u e_2 + v e_3 + w e_4 with u^2 + v^2 + w^2 = 2 p for the
         # first prime p, so x_1 = L e_1 has x_1 . x_1 = 0 and L x_1 = 0 mod p:
         # the sequence b^T L^k b is 1, 0, 0, ..., whose f = x leaves L e_1 =
@@ -775,23 +835,23 @@ class TestKalmanExact:
         b = _ev(4, 1).ravel()
         assert ctrl._minpoly_mod([L, path], [(0, b), (1, _ev(3, 1).ravel())], p) == [
             (2, [0, 0, 1]), (3, None)]
-        assert elimination_runs == [((L % p).tobytes(), 4)]
+        assert lone_runs == [((L % p).tobytes(), 4)]
         # in exact_verdicts: the fallback in the first round's stack, then
         # the pair alone at the second prime
-        elimination_runs.clear()
+        lone_runs.clear()
         verdicts = exact_verdicts([(L, b), (path, _ev(3, 1))])
-        assert [n for _, n in elimination_runs] == [4, 4]
+        assert [n for _, n in lone_runs] == [4, 4]
         assert verdicts == [exact_verdict(L, b), exact_verdict(path, _ev(3, 1))]
         assert verdicts[0].rank == _fraction_free_rank(L, b) == 2
         # the same at 101 = 10^2 + 1^2 on a 3 x 3 matrix
         small = np.array([[0, 1, 10], [1, 0, 0], [10, 0, 0]])
-        elimination_runs.clear()
+        lone_runs.clear()
         b2 = _ev(3, 2).ravel()
         assert ctrl._minpoly_mod([small, path], [(0, _ev(3, 1).ravel()), (1, b2)], 101) == [
             (2, [0, 0, 1]), _krylov_mod_reference(path, b2, 101)]
-        assert [n for _, n in elimination_runs] == [3]
+        assert [n for _, n in lone_runs] == [3]
 
-    def test_a_matrix_that_is_not_symmetric_runs_the_elimination(self, elimination_runs):
+    def test_a_matrix_that_is_not_symmetric_runs_the_elimination(self, lone_runs):
         # L e_1 = e_2 and L e_2 = 0 give b^T L^k b = 1, 0, 0, ... at b = e_1,
         # whose minimal polynomial x is not q = x^2 of rank 2; and x_1 . x_1
         # = 1 is not b^T L^2 b = 0, as the sequence needs L = L^T. So inside
@@ -802,7 +862,7 @@ class TestKalmanExact:
         p = ctrl._prime(0)
         assert ctrl._minpoly_mod([L, path], [(0, _ev(2, 1).ravel()), (1, _ev(2, 1).ravel())],
                                  p) == [(2, None), (2, None)]
-        assert elimination_runs == [(L.tobytes(), 2)]
+        assert lone_runs == [(L.tobytes(), 2)]
         assert exact_verdicts([(L, _ev(2, 1)), (path, _ev(2, 1))])[0].rank == 2
 
     @pytest.fixture
@@ -984,8 +1044,9 @@ class TestKalmanExact:
         assert ranks == [38] * 74
 
     def test_low_rank_pair_builds_few_rows(self):
-        # K_n at a vertex has rank 2 (q = x^2 - n x); the kernel builds one
-        # block of rows, one mat-vec each, not all n
+        # K_n at a vertex has rank 2 (q = x^2 - n x): the Lanczos recurrence
+        # takes one mat-vec a step and finds v_2 = 0 after two, not n; the
+        # elimination builds one block of rows, one mat-vec each
         import lapctrl.controllability as ctrl
         L = laplacian(gen_complete(512))
         assert kalman_rank_exact(L, _ev(512, 1)) == 2
@@ -996,8 +1057,16 @@ class TestKalmanExact:
                 products.append(other.shape)
                 return np.asarray(self) @ other
 
+            def dot(self, other):
+                products.append(other.shape)
+                return np.asarray(self).dot(other)
+
         p = ctrl._prime(0)
-        assert ctrl._krylov_mod((L % p).view(Counted), _ev(512, 1).ravel(), p)[0] == 2
+        b = _ev(512, 1).ravel()
+        assert ctrl._krylov_mod((L % p).view(Counted), b, p) == (2, [0, p - 512, 1])
+        assert products == [(512,)] * 2
+        products.clear()
+        assert ctrl._eliminate_mod((L % p).view(Counted), b, p) == (2, [0, p - 512, 1])
         assert products == [(512,)] * ctrl._FIRST_BLOCK
 
     def test_float_entries_outside_int64_are_refused_without_a_warning(self):
