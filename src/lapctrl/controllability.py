@@ -535,9 +535,9 @@ def controllable_vertices(g: Graph) -> set[int]:
 # finite-horizon Gramian
 # ---------------------------------------------------------------------------
 
-# composite Simpson over [0, 1] in 200 steps: sample times and root weights, read-only
+# composite Simpson over [0, 1] in 200 steps: sample times and root weight column, read-only
 _SIMPSON_TIMES = np.linspace(0.0, 1.0, 201)
-_SIMPSON_ROOT_WEIGHTS = np.sqrt(np.r_[1.0, [4.0, 2.0] * 99, 4.0, 1.0] * (1.0 / 200 / 3.0))
+_SIMPSON_ROOT_WEIGHTS = np.sqrt(np.r_[1.0, [4.0, 2.0] * 99, 4.0, 1.0] * (1.0 / 200 / 3.0))[:, None]
 _SIMPSON_TIMES.setflags(write=False)
 _SIMPSON_ROOT_WEIGHTS.setflags(write=False)
 
@@ -549,11 +549,13 @@ def gramian_check(L, B) -> Verdict:
     of sampled impulse responses sqrt(w_k) exp(-L t_k) b, and the smallest
     Gramian eigenvalue is recovered as the squared smallest singular value
     of the factor C (LAPACK SVD, numpy.linalg.svd); the verdict carries it
-    as min_eigenvalue. C C^T is never formed, so the dynamic range is never
-    squared: directions that are truly unreachable stay at squared roundoff
-    (about 1e-32 of the trace scale) instead of plain roundoff, so the
-    positivity floor 1e-24 * trace(W) / n cleanly separates them from
-    barely controllable pairs whose smallest eigenvalue is genuinely tiny.
+    as min_eigenvalue. C^T is built in the eigenbasis as a tall 201 x n
+    array, one sample time per row, whose SVD takes LAPACK's QR-first path.
+    C C^T is never formed, so the dynamic range is never squared: directions
+    that are truly unreachable stay at squared roundoff (about 1e-32 of the
+    trace scale) instead of plain roundoff, so the positivity floor
+    1e-24 * trace(W) / n cleanly separates them from barely controllable
+    pairs whose smallest eigenvalue is genuinely tiny.
 
     The horizon is 1 and the quadrature takes 200 steps. A full-rank verdict
     needs 201 >= n samples; above that order the quadrature Gramian is
@@ -569,7 +571,8 @@ def gramian_check(L, B) -> Verdict:
 
     dec = eig_sym(Lmat)
     proj = dec.modal.T @ bf  # the input in the eigenbasis
-    factor = np.exp(-np.outer(dec.values, _SIMPSON_TIMES)) * proj[:, None]  # n x 201
+    factor = np.exp(np.multiply.outer(_SIMPSON_TIMES, -dec.values))  # 201 x n
+    factor *= proj
     factor *= _SIMPSON_ROOT_WEIGHTS
 
     sig = np.linalg.svd(factor, compute_uv=False)

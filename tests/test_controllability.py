@@ -1579,15 +1579,16 @@ class TestGramian:
         *[(laplacian(gen_path(k)), _ev(k, 1)) for k in (4, 6, 8, 10, 12)],
     ])
     def test_min_eigenvalue_is_bit_identical_to_the_per_call_quadrature(self, L, b):
-        # the pinned pairs above, against the nodes and weights built inside the call
+        # the pinned pairs above, against the nodes and weights built inside
+        # the call, in the same 201 x n layout (one sample time per row)
         steps = 200
         dec = eig_sym(L)
         weights = np.full(steps + 1, 2.0)
         weights[1::2] = 4.0
         weights[0] = weights[-1] = 1.0
         weights *= 1.0 / steps / 3.0
-        factor = np.exp(-np.outer(dec.values, np.linspace(0.0, 1.0, steps + 1)))
-        factor = factor * (dec.modal.T @ b.astype(float).ravel())[:, None] * np.sqrt(weights)
+        factor = np.exp(-np.outer(np.linspace(0.0, 1.0, steps + 1), dec.values))
+        factor = factor * (dec.modal.T @ b.astype(float).ravel()) * np.sqrt(weights)[:, None]
         expected = float(np.linalg.svd(factor, compute_uv=False)[-1] ** 2)
         assert gramian_check(L, b).min_eigenvalue == expected
 
@@ -1607,6 +1608,37 @@ class TestGramian:
         assert abs(res.min_eigenvalue - ref) <= rel * ref
         if k == 8:
             assert ref < 1e-16 * trace
+
+    def test_known_false_negatives_on_end_driven_paths(self):
+        # Known-false pin: the path P_k driven at vertex 1 is controllable
+        # (exact rank k/k), but from k = 11 on the Gramian says
+        # uncontrollable. At k = 11 and 12 the 60-digit reference puts
+        # lambda_min (2.1e-26 and 1.1e-29) below the floor 1e-24 * trace / k
+        # (5.2e-26 and 4.8e-26), so the floor decides, not rounding. A
+        # Gramian that answers "indeterminate" under its floor (ROADMAP I)
+        # should flip this pin.
+        for k in range(11, 19):
+            L, b = laplacian(gen_path(k)), _ev(k, 1)
+            assert kalman_rank_exact(L, b) == k
+            assert gramian_check(L, b).controllable is False, k
+        mp = pytest.importorskip("mpmath")
+        for k in (11, 12):
+            ref, trace = _path_gramian_reference(mp, k)
+            assert ref < GRAMIAN_EIG_FLOOR * trace / k, k
+
+    def test_controllable_verdicts_are_never_wrong_on_random_graphs(self):
+        # One-sided: a "controllable" answer implies exact rank n. Random
+        # connected graphs of order 8..40 at every vertex; most answers are
+        # false "uncontrollable" ones, which the floor allows
+        rng = random.Random(2026)
+        answers = 0
+        for n in range(8, 41):
+            L = laplacian(random_connected_graph(n, rng))
+            inputs = [_ev(n, v) for v in range(1, n + 1)
+                      if gramian_check(L, _ev(n, v)).controllable]
+            assert all(verdict.controllable for verdict in exact_verdicts((L, b) for b in inputs))
+            answers += len(inputs)
+        assert answers > 0  # the sweep holds "controllable" answers to check
 
 
 def _path_gramian_reference(mp, k, steps=200):
