@@ -10,8 +10,10 @@ suite holds all three to agreement.
 
 Controllability here always means controllability of the consensus pair
 (-L, b) for dx/dt = -L x + b u, which by the eigenvector criterion is the
-same as for (L, b). Every decider takes the one input b as a flat length-n
-vector or an n-by-1 column; any other shape is a ValueError.
+same as for (L, b). Every decider takes a symmetric L, as every Laplacian
+of an undirected graph is, the exact oracle one with integer entries, and
+the one input b as a flat length-n vector or an n-by-1 column; any other
+L or shape is a ValueError.
 """
 
 from __future__ import annotations
@@ -153,39 +155,39 @@ def _prime(i: int) -> int:
     return _PRIMES[i]
 
 
-_FIRST_BLOCK = 64  # Krylov rows built before the first elimination step
 _STACK_BYTES = 1 << 21  # powers x_k of a stack of pairs, the one cut _certify makes in a round
 
 
-def _krylov_mod(L: np.ndarray, b: np.ndarray, p: int) -> tuple[int, list[int] | None]:
-    """Krylov rank r of (L, b) over GF(p), for L with entries in [0, p), and
-    q_p as _eliminate_mod gives it.
+def _krylov_mod(L: np.ndarray, b: np.ndarray, p: int) -> tuple[int, list[int] | None] | None:
+    """Krylov rank r of (L, b) over GF(p), for L = L^T with entries in [0,
+    p), and the monic q_p of degree r with q_p(L) b = 0 mod p, coefficients
+    constant first (None at r = n); None after a breakdown.
 
-    For L = L^T with n (p - 1)^2 < 2^53, the unnormalized Lanczos recurrence
-    over GF(p) (Lanczos 1950; LaMacchia & Odlyzko, CRYPTO '90): v_0 = b,
-    v_k+1 = L v_k - a_k v_k - c_k v_k-1 with d_k = v_k . v_k, a_k = v_k . L v_k
-    / d_k and c_k = d_k / d_k-1. A step is one float64 mat-vec and two int64
-    dot products on residues in [0, p), each exact below n (p - 1)^2. While
-    every d_j is nonzero the v_j are pairwise orthogonal with nonzero
-    self-products, hence independent, and v_k = P_k(L) b with P_k+1 = (x -
-    a_k) P_k - c_k P_k-1 monic of degree k. So n vectors give rank n, and
-    v_r = 0 gives rank r and q_p = P_r. A breakdown (d_k = 0 while v_k !=
-    0), an L not symmetric mod p, or n (p - 1)^2 >= 2^53 runs _eliminate_mod
-    instead.
+    The unnormalized Lanczos recurrence over GF(p) (Lanczos 1950; LaMacchia
+    & Odlyzko, CRYPTO '90): v_0 = b, v_k+1 = L v_k - a_k v_k - c_k v_k-1 with
+    d_k = v_k . v_k, a_k = v_k . L v_k / d_k and c_k = d_k / d_k-1. A step is
+    one mat-vec, float64 while n (p - 1)^2 < 2^53 and int64 above, and two
+    int64 dot products on residues in [0, p), each exact below n (p - 1)^2,
+    so below order 2^21. While every d_j is nonzero the v_j are pairwise
+    orthogonal with nonzero self-products, hence independent, and v_k =
+    P_k(L) b with P_k+1 = (x - a_k) P_k - c_k P_k-1 monic of degree k. So n
+    vectors give rank n, and v_r = 0 gives rank r and q_p = P_r. A breakdown
+    (d_k = 0 while v_k != 0) belongs to the prime: over the rationals the
+    self-products of a real symmetric pair are positive, so only finitely
+    many primes break it, and the pair waits for the next one.
     """
     n = len(b)
-    if n * (p - 1) ** 2 >= 2**53 or not (L == L.T).all():
-        return _eliminate_mod(L, b, p)
-    Lf, v, prev = L.astype(np.float64), b.astype(np.int64), 0
+    Lw = L.astype(np.float64 if n * (p - 1) ** 2 < 2**53 else np.int64, copy=False)
+    v, prev = b.astype(np.int64), 0
     steps, inverse = [], 0  # (a_k, c_k) of each step; 1 / d_k-1
     for k in range(n):
         d = int(v.dot(v)) % p
         if not d:
-            return _eliminate_mod(L, b, p) if v.any() else (k, _lanczos_q(steps, p))
+            return None if v.any() else (k, _lanczos_q(steps, p))
         if k == n - 1:
             break
         c, inverse = d * inverse % p, pow(d, -1, p)
-        w = Lf.dot(v).astype(np.int64)
+        w = Lw.dot(v).astype(np.int64)
         w %= p
         a = int(v.dot(w)) * inverse % p
         steps.append((a, c))
@@ -211,56 +213,6 @@ def _lanczos_q(steps: list[tuple[int, int]], p: int) -> list[int]:
     return q[1:].tolist()
 
 
-def _eliminate_mod(L: np.ndarray, b: np.ndarray, p: int) -> tuple[int, list[int] | None]:
-    """Krylov rank r of (L, b) over GF(p), for L with entries in [0, p).
-
-    The rows L^k b are built one mat-vec at a time, in blocks that double
-    in size from _FIRST_BLOCK, so a pair of rank r builds O(r) rows, and
-    eliminated by right-looking LU: a pivot clears its column from the rows
-    below it in its block by one rank-1 update, keeping in mults[j, i] the
-    multiple of pivot row j taken from row i. A new block first takes the
-    earlier pivots' multiples from a triangular solve on their columns, and
-    one product. Only the pivot row and the multiplier column are reduced
-    mod p (delayed reduction: Dumas, Giorgi & Pernet, ACM TOMS 35(3), 2008),
-    so every entry stays below n * 2^42 + p in int64; past the first block
-    products are float64, exact while n (p - 1)^2 < 2^53. When row r
-    reduces to zero, q with q M = e_r, M the unit lower triangle of the
-    multiples of rows 0..r, is the monic q_p of degree r with q_p(L) b = 0
-    mod p, returned as its coefficients, constant first; at r = n, None.
-    """
-    n = len(b)
-    wide = np.float64 if _FIRST_BLOCK < n and n * (p - 1) ** 2 < 2**53 else np.int64
-    Lw, v = L.astype(wide, copy=False), b.astype(wide, copy=False)
-    rows, mults = np.zeros((n, n), dtype=np.int64), np.zeros((n, n), dtype=wide)
-    pivots, inverses = np.zeros(n, dtype=np.intp), np.zeros(n, dtype=np.int64)
-    start, end = 0, min(n, _FIRST_BLOCK)
-    while start < n:
-        for k in range(start, end):
-            rows[k] = v
-            v = Lw @ v % p
-        if start:
-            done = rows[:start].astype(wide)
-            upper, new = done[:, pivots[:start]], rows[start:end, pivots[:start]].T.astype(wide)
-            X = mults[:start, start:end]
-            for j in range(start):
-                X[j] = (new[j] - X[:j].T @ upper[:j, j]) % p * inverses[j] % p
-            rows[start:end] -= (X.T @ done).astype(np.int64)
-        for r in range(start, end):
-            row = rows[r]
-            row %= p
-            pos = pivots[r] = row.argmax()
-            if not row[pos]:
-                q = np.append(np.zeros(r, dtype=wide), 1)
-                for j in range(r - 1, -1, -1):
-                    q[j] = -(mults[j, j + 1:r + 1] @ q[j + 1:]) % p
-                return r, q.astype(np.int64).tolist()
-            inv = inverses[r] = pow(int(row[pos]), -1, p)
-            m = mults[r, r + 1:end] = rows[r + 1:end, pos] % p * inv % p
-            rows[r + 1:end] -= np.multiply.outer(m, row)
-        start, end = end, min(n, 2 * end)
-    return n, None
-
-
 def _balance(x: np.ndarray, p: int) -> np.ndarray:
     """x in place, integer float64 below 2^52 in size, as residues mod p within p/2 + 1 of 0."""
     t = x * (1 / p)
@@ -269,47 +221,44 @@ def _balance(x: np.ndarray, p: int) -> np.ndarray:
 
 
 def _minpoly_mod(Ls: list[np.ndarray], members: list[tuple[int, np.ndarray]],
-                 p: int) -> list[tuple[int, list[int] | None]]:
-    """_krylov_mod(Ls[m] % p, b, p) for each member (m, b), found together
-    from the sequences b^T L^k b mod p, as exact_verdicts describes. The
-    members of one L are the rows of one product x_k+1^T = x_k^T L."""
+                 p: int) -> list[tuple[int, list[int] | None] | None]:
+    """_krylov_mod(Ls[m] % p, b, p) for each member (m, b), every Ls[m]
+    symmetric, found together from the sequences b^T L^k b mod p, as
+    exact_verdicts describes. The members of one L are the rows of one
+    product x_k+1^T = x_k^T L."""
     out: list = [None] * len(members)
     by_order: dict[int, dict[int, list[int]]] = {}
     for i, (m, b) in enumerate(members):
         by_order.setdefault(len(b), {}).setdefault(m, []).append(i)
     # Berlekamp-Massey without inverses, a column per member, shortest order
-    # first; a member of an L not symmetric mod p keeps s = 0. C holds its
-    # coefficients highest degree first in rows up to top, so C . s is a
-    # dot product with a window of s; B is kept times x by a moving window
+    # first. C holds its coefficients highest degree first in rows up to
+    # top, so C . s is a dot product with a window of s; B is kept times x
+    # by a moving window
     orders = np.sort([len(b) for _, b in members])
     top = int(orders[-1])
     seqs, C, B = (np.zeros((rows, len(orders))) for rows in (2 * top, 2 * top + 1, 3 * top))
     C[top] = B[top - 1] = 1
     beta, length = np.ones(len(orders)), np.zeros(len(orders), dtype=np.intp)
     runs = []  # (columns, n, members, x_0 ... x_n by row, each member's row) per order
-    for n in sorted(by_order):
-        stack = np.stack([Ls[m] for m in by_order[n]]) % p
-        symmetric = (stack == stack.transpose(0, 2, 1)).all(axis=(1, 2))
-        groups = itertools.compress(by_order[n].values(), symmetric)
-        slots = [(g, c, i) for g, cols in enumerate(groups) for c, i in enumerate(cols)]
-        if slots:
-            g, c, i = np.array(slots).T
-            x = np.zeros((n + 1, g[-1] + 1, c.max() + 1, n))
-            x[0, g, c] = np.stack([members[j][1] for j in i])
-            mats = _balance(stack[symmetric].astype(np.float64), p)
-            # lag products take a reduced x_k to at most (p/2 + 1) R^lag, R the largest
-            # absolute column sum of mats: each block of lag powers is reduced once
-            R = int(np.abs(mats).sum(axis=1).max())
-            lag = next((j for j in range(1, n) if (p + 2) * R ** (j + 1) >= 2**53), n)
-            for k in range(1, n + 1):
-                np.matmul(x[k - 1], mats, out=x[k])
-                if k % lag == 0 or k == n:
-                    _balance(x[k - (k - 1) % lag:k + 1], p)
-            rows, x = g * x.shape[2] + c, x.reshape(n + 1, -1, n)
-            cols = np.searchsorted(orders, n) + np.arange(len(i))
-            seqs[:2 * n:2, cols] = np.einsum("kij,kij->ki", x[:n], x[:n])[:, rows]
-            seqs[1:2 * n:2, cols] = np.einsum("kij,kij->ki", x[:n], x[1:])[:, rows]
-            runs.append((cols, n, i, x, rows))
+    for n, groups in sorted(by_order.items()):
+        slots = [(g, c, i) for g, cols in enumerate(groups.values()) for c, i in enumerate(cols)]
+        g, c, i = np.array(slots).T
+        x = np.zeros((n + 1, g[-1] + 1, c.max() + 1, n))
+        x[0, g, c] = np.stack([members[j][1] for j in i])
+        mats = _balance((np.stack([Ls[m] for m in groups]) % p).astype(np.float64), p)
+        # lag products take a reduced x_k to at most (p/2 + 1) R^lag, R the largest
+        # absolute column sum of mats: each block of lag powers is reduced once
+        R = int(np.abs(mats).sum(axis=1).max())
+        lag = next((j for j in range(1, n) if (p + 2) * R ** (j + 1) >= 2**53), n)
+        for k in range(1, n + 1):
+            np.matmul(x[k - 1], mats, out=x[k])
+            if k % lag == 0 or k == n:
+                _balance(x[k - (k - 1) % lag:k + 1], p)
+        rows, x = g * x.shape[2] + c, x.reshape(n + 1, -1, n)
+        cols = np.searchsorted(orders, n) + np.arange(len(i))
+        seqs[:2 * n:2, cols] = np.einsum("kij,kij->ki", x[:n], x[:n])[:, rows]
+        seqs[1:2 * n:2, cols] = np.einsum("kij,kij->ki", x[:n], x[1:])[:, rows]
+        runs.append((cols, n, i, x, rows))
     _balance(seqs, p)
     span = 0  # the largest length among live members
     for k, a in enumerate(np.searchsorted(orders, np.arange(2 * top) // 2, side="right").tolist()):
@@ -345,14 +294,16 @@ def _minpoly_mod(Ls: list[np.ndarray], members: list[tuple[int, np.ndarray]],
 
 
 def _exact_matrix(L) -> np.ndarray:
-    """L as int64, refused unless L is integer within int64."""
+    """L as int64, refused unless L is a symmetric integer matrix within int64."""
     Lmat = _check_square(L)
     if Lmat.dtype.kind == "f" and not (Lmat == np.trunc(Lmat)).all():
         raise ValueError("exact rank needs an integer matrix")
     # only uint64 and float entries can leave the int64 range
     if Lmat.dtype.kind in "uf" and not -2**63 <= int(Lmat.min()) <= int(Lmat.max()) < 2**63:
         raise ValueError("exact rank needs an integer matrix with entries in the int64 range")
-    return Lmat.astype(np.int64, copy=False)
+    Lmat = Lmat.astype(np.int64, copy=False)
+    _check_symmetric(Lmat)
+    return Lmat
 
 
 def _row_sum(as_int: np.ndarray) -> int:
@@ -418,8 +369,10 @@ def _certify(pairs: Iterable[tuple]) -> tuple[list[tuple[int, int]], list[int]]:
             stack = [members[j] for _, j in group]
             residues += (_minpoly_mod(validated, stack, p) if len(stack) > 1
                          else [_krylov_mod(validated[stack[0][0]] % p, stack[0][1], p)])
-        for j, (rank, q) in zip(pending, residues):
-            m, b = members[j]
+        for j, residue in zip(pending, residues):
+            if residue is None:  # a Lanczos breakdown: the pair waits for the next prime
+                continue
+            (rank, q), (m, b) = residue, members[j]
             if rank == len(b):
                 ranks[j] = rank
                 continue
@@ -453,12 +406,11 @@ def kalman_rank_exact(L, B) -> int:
 
     The Krylov chain runs modulo descending primes below 2^21, and the
     answer is certified by two bounds, so no outcome rests on probability.
-    Modulo each prime, _krylov_mod runs the Lanczos recurrence on a pair
-    whose L is symmetric mod p, exact in float64 while n (p - 1)^2 < 2^53,
-    and q_p comes from its recorded coefficients; a breakdown, an L not
-    symmetric mod p or a larger n eliminates the Krylov rows by
-    right-looking LU instead (_eliminate_mod), and q_p comes from the
-    multiples it keeps.
+    L must be a symmetric integer matrix within int64, as every Laplacian
+    is; any other L is a ValueError. Modulo each prime, _krylov_mod runs
+    the Lanczos recurrence, its mat-vec float64 while n (p - 1)^2 < 2^53
+    and int64 above, and q_p comes from its recorded coefficients; a
+    breakdown decides nothing, and the pair waits for the next prime.
     Lower bound: a rank mod p never exceeds the rank over the rationals, so
     a rank of n mod any prime returns n at once. Upper bound: the primes
     that reach the largest residue rank r each give the monic q_p of degree
@@ -496,25 +448,24 @@ def exact_verdicts(pairs: Iterable[tuple]) -> list[Verdict]:
     validated once. The certificate runs in rounds: round i takes p =
     _prime(i) to the pairs still undecided, sorted by order and cut into
     stacks where their running total of powers, 8 n (n + 1) bytes a pair,
-    passes a multiple of _STACK_BYTES. A stack of one runs _krylov_mod: the
-    Lanczos recurrence over GF(p) when L is symmetric mod p and n (p - 1)^2
-    < 2^53, certified by its pairwise orthogonal vectors, with q_p from its
-    coefficients, and the elimination after a breakdown or otherwise. A
-    larger one, always below order 512, builds x_k = L^k b, k <= n, by one
-    float64 product a step for the pairs of one L. With R the largest
-    absolute column sum of L mod p in residues of least size, the powers
-    are reduced to such residues once every lag products, lag the largest
-    with (p/2 + 1) R^lag < 2^52, so every product is exact. For L = L^T mod
-    p, s_2k = x_k . x_k and s_2k+1 = x_k . x_k+1 are b^T L^k b mod p, and
-    one Berlekamp-Massey run over the stack (Wiedemann 1986) finds the
-    minimal polynomial f of each pair's 2n terms. f divides q_p: degree n
-    is rank n at once, and only a lower degree forms f(L) b, taken as q_p
-    when f(L) b = 0 mod p, as q_p then divides f. Any other pair, and each
-    pair whose L is not symmetric mod p, runs _krylov_mod. Residues join
-    the CRT combinations as in kalman_rank_exact, and a q that needs the
-    check mod 2^64 (M <= 2 bound < M 2^64) takes one Horner run per pair
-    where its bound is computed. A pair that neither decides waits for the
-    next round's prime. Pairs of one (rank, n) share one Verdict.
+    passes a multiple of _STACK_BYTES. A stack of one runs _krylov_mod, the
+    Lanczos recurrence over GF(p), certified by its pairwise orthogonal
+    vectors, with q_p from its coefficients. A larger one, always below
+    order 512, builds x_k = L^k b, k <= n, by one float64 product a step
+    for the pairs of one L. With R the largest absolute column sum of L mod
+    p in residues of least size, the powers are reduced to such residues
+    once every lag products, lag the largest with (p/2 + 1) R^lag < 2^52,
+    so every product is exact. As L = L^T, s_2k = x_k . x_k and s_2k+1 =
+    x_k . x_k+1 are b^T L^k b mod p, and one Berlekamp-Massey run over the
+    stack (Wiedemann 1986) finds the minimal polynomial f of each pair's 2n
+    terms. f divides q_p: degree n is rank n at once, and only a lower
+    degree forms f(L) b, taken as q_p when f(L) b = 0 mod p, as q_p then
+    divides f. Any other pair runs _krylov_mod. Residues join the CRT
+    combinations as in kalman_rank_exact, and a q that needs the check mod
+    2^64 (M <= 2 bound < M 2^64) takes one Horner run per pair where its
+    bound is computed. A pair that neither decides, or whose Lanczos run
+    breaks down, waits for the next round's prime. Pairs of one (rank, n)
+    share one Verdict.
     """
     certified, order = _certify(pairs)
     shared = {(rank, n): Verdict(controllable=rank == n, method="exact", rank=rank)

@@ -651,19 +651,14 @@ class TestKalmanExact:
 
     def test_kernel_matches_the_reference_kernel(self):
         # modulo the largest prime and the eighth: every vertex of P, K and
-        # AR up to order 40, inside the first block, and three vertices of
-        # random graphs up to order 60. Around the block boundaries 64 and
-        # 128, P at vertex 1 (full rank) and a graph with one twin pair at
-        # vertex 1 (rank one below the order), so that ranks 63, 64, 65, 128
-        # and 129 come both full and deficient, and ranks 65 and 129 reduce
-        # a row to zero inside a block that the earlier pivots caught up;
-        # and integer matrices that are not symmetric. These take the largest
-        # prime and 2^24 - 3, where n (p - 1)^2 passes 2^53 from order 33, so
-        # the products past the first block run in int64 as they do at the
-        # oracle's primes from order 2048. Each case runs the lone-pair kernel
-        # (Lanczos on a symmetric L below that bound) and the elimination
-        # itself, so the elimination's blocks stay covered where the Lanczos
-        # recurrence decides
+        # AR up to order 40, and three vertices of random graphs up to order
+        # 60. P at vertex 1 (full rank) and a graph with one twin pair at
+        # vertex 1 (rank one below the order) of orders 63 to 130, so that
+        # ranks 63, 64, 65, 128 and 129 come both full and deficient; and
+        # symmetric integer matrices with entries in -3..3. These take the
+        # largest prime and 2^24 - 3, where n (p - 1)^2 passes 2^53 from
+        # order 33, so the mat-vec runs in int64 as it does at the oracle's
+        # primes from order 2048
         import lapctrl.controllability as ctrl
         rng = random.Random(17)
         primes = ctrl._prime(0), ctrl._prime(7)
@@ -679,8 +674,8 @@ class TestKalmanExact:
             twin = [(u + v - k, k + 1) for u, v in g.edges if k in (u, v)]
             cases.append((laplacian(Graph.from_edges(k + 1, [*g.edges, *twin])), [1], primes))
         for k in (70, 130):
-            L = np.array([[rng.randint(-3, 3) for _ in range(k)] for _ in range(k)])
-            cases.append((L, [1, k], primes))
+            A = np.array([[rng.randint(-3, 3) for _ in range(k)] for _ in range(k)])
+            cases.append((np.triu(A) + np.triu(A, 1).T, [1, k], primes))
         full, deficient = set(), set()
         for L, vertices, primes in cases:
             for v in vertices:
@@ -688,51 +683,61 @@ class TestKalmanExact:
                 for p in primes:
                     result = ctrl._krylov_mod(L % p, b, p)
                     assert result == _krylov_mod_reference(L % p, b, p), (L.tolist(), v, p)
-                    assert ctrl._eliminate_mod(L % p, b, p) == result, (L.tolist(), v, p)
                     (full if result[0] == len(L) else deficient).add(result[0])
         assert {16, 17, 32, 33, 40, 63, 64, 65, 70, 128, 129, 130} <= full
         assert {63, 64, 65, 128, 129} <= deficient
 
     @pytest.fixture
-    def eliminations(self, monkeypatch):
-        """The prime of each elimination (_eliminate_mod) run."""
+    def krylov_results(self, monkeypatch):
+        """(prime, result) of each lone-pair kernel (_krylov_mod) run."""
         import lapctrl.controllability as ctrl
         runs = []
-        eliminate = ctrl._eliminate_mod
+        krylov = ctrl._krylov_mod
 
         def recording(L, b, p):
-            runs.append(p)
-            return eliminate(L, b, p)
+            runs.append((p, krylov(L, b, p)))
+            return runs[-1][1]
 
-        monkeypatch.setattr(ctrl, "_eliminate_mod", recording)
+        monkeypatch.setattr(ctrl, "_krylov_mod", recording)
         return runs
 
-    def test_a_lone_pair_falls_back_to_the_elimination(self, eliminations):
-        # the three cases that the Lanczos recurrence leaves to the
-        # elimination. The 2038/201/21 matrix at e_1 has d_1 = 2p, zero mod
-        # the first prime p while v_1 = L e_1 is not: a breakdown; the second
-        # prime, where d_1 is not zero, runs the recurrence. L e_1 = e_2 is not
-        # symmetric, and the first prime gives its full rank. And at 2^24 -
-        # 3, n (p - 1)^2 passes 2^53 from order 33
+    def test_a_lone_pair_breakdown_waits_for_the_next_prime(self, krylov_results):
+        # the 2038/201/21 matrix at e_1 has d_1 = 2 p0, zero mod the first
+        # prime p0 while v_1 = L e_1 is not: a breakdown, which decides
+        # nothing. The later primes run the recurrence to q = x^2 - 2 p0,
+        # whose residue mod p1 lifts to -20, not -2 p0; with p2 the CRT lift
+        # is exact and q(L) b = 0 decides rank 2
         import lapctrl.controllability as ctrl
-        p = ctrl._prime(0)
+        p0, p1, p2 = (ctrl._prime(i) for i in range(3))
         isotropic = np.zeros((4, 4), dtype=np.int64)
         isotropic[0, 1:] = isotropic[1:, 0] = 2038, 201, 21
-        for L, b in ((isotropic, _ev(4, 1)), (np.array([[0, 0], [1, 0]]), _ev(2, 1))):
-            eliminations.clear()
-            assert kalman_rank_exact(L, b) == _fraction_free_rank(L, b) == 2
-            assert eliminations == [p]
-        q = 2**24 - 3
-        for k, runs in ((32, []), (33, [q])):
-            eliminations.clear()
-            assert ctrl._krylov_mod(laplacian(gen_path(k)) % q, _ev(k, 1).ravel(), q) == (k, None)
-            assert eliminations == runs
+        b = _ev(4, 1)
+        assert kalman_rank_exact(isotropic, b) == _fraction_free_rank(isotropic, b) == 2
+        assert krylov_results == [(p0, None), *((p, (2, [-2 * p0 % p, 0, 1])) for p in (p1, p2))]
 
-    def test_lanczos_matches_the_reference_kernel_at_small_primes(self, eliminations):
+    def test_the_mat_vec_runs_in_int64_past_2_to_the_53(self):
+        # at 2^24 - 3, n (p - 1)^2 passes 2^53 from order 33, where the
+        # float64 mat-vec would round, so it runs in int64 there
+        import lapctrl.controllability as ctrl
+        q, kinds = 2**24 - 3, []
+
+        class Typed(np.ndarray):
+            def dot(self, other):
+                kinds.append(self.dtype)
+                return np.asarray(self).dot(other)
+
+        for k, kind in ((32, np.float64), (33, np.int64)):
+            kinds.clear()
+            L = (laplacian(gen_path(k)) % q).view(Typed)
+            assert ctrl._krylov_mod(L, _ev(k, 1).ravel(), q) == (k, None)
+            assert kinds == [kind] * (k - 1)
+
+    def test_lanczos_matches_the_reference_kernel_at_small_primes(self):
         # modulo 13 and 101 a self-product d_k = 0 while v_k is not zero is
-        # common, so breakdowns and their elimination runs come beside the
-        # recurrence: every vertex of P, K and AR up to order 24, and random
-        # symmetric matrices with entries in -3..3 at one vertex each
+        # common, so breakdowns come beside the recurrence: every vertex of
+        # P, K and AR up to order 24, and random symmetric matrices with
+        # entries in -3..3 at one vertex each. A breakdown gives None, and
+        # every other run the reference kernel's (rank, q)
         import lapctrl.controllability as ctrl
         rng = random.Random(29)
         cases = [(laplacian(g), _ev(g.n, v).ravel()) for k in range(2, 25)
@@ -743,11 +748,37 @@ class TestKalmanExact:
             A = np.array([[rng.randint(-3, 3) for _ in range(k)] for _ in range(k)])
             cases.append((np.triu(A) + np.triu(A, 1).T, _ev(k, rng.randint(1, k)).ravel()))
         for p in (13, 101):
-            eliminations.clear()
+            breakdowns = 0
             for L, b in cases:
-                assert ctrl._krylov_mod(L % p, b, p) == _krylov_mod_reference(L % p, b, p), (
+                result = ctrl._krylov_mod(L % p, b, p)
+                breakdowns += result is None
+                assert result in (None, _krylov_mod_reference(L % p, b, p)), (
                     L.tolist(), b.tolist(), p)
-            assert 0 < len(eliminations) < len(cases)
+            assert 0 < breakdowns < len(cases)
+
+    def test_breakdowns_at_small_primes_wait_for_the_next_prime(self, monkeypatch,
+                                                               krylov_results):
+        # from 1021 down, self-orthogonal vectors are common, yet every rank
+        # is the fraction-free one: every vertex of P, K and AR up to order
+        # 12 and seeded symmetric matrices with entries in -3..3. AR11 at
+        # vertex 8 breaks down at 1021 and is decided at a later prime
+        import lapctrl.controllability as ctrl
+        monkeypatch.setattr(ctrl, "_PRIMES", [1021])
+        rng = random.Random(31)
+        cases = [(laplacian(g), _ev(g.n, v)) for k in range(2, 13)
+                 for g in (gen_path(k), gen_complete(k), gen_antiregular(k))
+                 for v in range(1, k + 1)]
+        for _ in range(40):
+            k = rng.randint(2, 12)
+            A = np.array([[rng.randint(-3, 3) for _ in range(k)] for _ in range(k)])
+            cases.append((np.triu(A) + np.triu(A, 1).T, _ev(k, rng.randint(1, k))))
+        breakdowns = []
+        for L, b in cases:
+            krylov_results.clear()
+            assert kalman_rank_exact(L, b) == _fraction_free_rank(L, b), (L.tolist(), b.tolist())
+            assert max(p for p, _ in krylov_results) < 2**10
+            breakdowns += [len(L) for _, result in krylov_results if result is None]
+        assert breakdowns == [11]
 
     @pytest.fixture
     def lone_runs(self, monkeypatch):
@@ -766,11 +797,11 @@ class TestKalmanExact:
     def test_stacked_kernel_matches_the_reference_kernel(self, lone_runs):
         # one _minpoly_mod call holds every order at once: P, K and AR of
         # orders 2..40 at every vertex, random graphs up to order 60 at
-        # random inputs, and integer matrices that are not symmetric, which
-        # run _krylov_mod. Every member must match the reference pair by
-        # pair, also at small primes, where a sequence misses q_p more often
-        # and the elimination decides it; the reference is slow, so those
-        # primes take the family orders up to 24 only
+        # random inputs, and symmetric integer matrices. Every member must
+        # match the reference pair by pair; at small primes, where a
+        # sequence misses q_p more often and runs _krylov_mod, a member may
+        # instead give None, a breakdown of that run. The reference is slow,
+        # so those primes take the family orders up to 24 only
         import lapctrl.controllability as ctrl
         rng = random.Random(23)
         Ls, families, others = [], [], []
@@ -784,9 +815,9 @@ class TestKalmanExact:
             others += [(len(Ls) - 1, _ev(g.n, *vs).ravel()) for vs in inputs]
         for _ in range(6):
             k = rng.randint(2, 12)
-            Ls.append(np.array([[rng.randint(-3, 3) for _ in range(k)] for _ in range(k)]))
+            A = np.array([[rng.randint(-3, 3) for _ in range(k)] for _ in range(k)])
+            Ls.append(np.triu(A) + np.triu(A, 1).T)
             others += [(len(Ls) - 1, _ev(k, v).ravel()) for v in range(1, k + 1)]
-        asymmetric = sum(not np.array_equal(Ls[m], Ls[m].T) for m, _ in others)
         members = families + others
         small = [(m, b) for m, b in families if len(b) <= 24] + others
         rng.shuffle(members)
@@ -795,12 +826,17 @@ class TestKalmanExact:
                          (13, small)):
             lone_runs.clear()
             result = ctrl._minpoly_mod(Ls, stack, p)
-            assert result == [_krylov_mod_reference(Ls[m] % p, b, p) for m, b in stack], p
-            runs[p] = len(lone_runs)
+            reference = [_krylov_mod_reference(Ls[m] % p, b, p) for m, b in stack]
+            assert all(got in (None, expected) for got, expected in zip(result, reference)), p
+            runs[p] = len(lone_runs), result.count(None)
             if p == ctrl._prime(0):
+                assert result == reference
                 assert {2, 39, 40} <= {rank for rank, _ in result}
-        assert runs[ctrl._prime(0)] == asymmetric > 0
-        assert runs[13] > asymmetric
+        assert runs[ctrl._prime(0)] == (0, 0)
+        # a sequence of linear complexity below deg q_p makes a leading
+        # Hankel minor of the s_k singular, and with it a Lanczos
+        # self-product, so each run it falls back to breaks down as well
+        assert runs[13][0] == runs[13][1] > 0
 
     @pytest.mark.parametrize("j", [0, 5, 10, 15, 20])
     def test_powers_reduced_in_blocks_match_the_reference_kernel(self, j):
@@ -819,13 +855,14 @@ class TestKalmanExact:
         assert ctrl._minpoly_mod(Ls, members, p) == [
             _krylov_mod_reference(Ls[m] % p, b, p) for m, b in members]
 
-    def test_a_sequence_that_misses_q_runs_the_elimination(self, lone_runs):
+    def test_a_sequence_that_misses_q_waits_for_the_next_prime(self, lone_runs):
         # L e_1 = u e_2 + v e_3 + w e_4 with u^2 + v^2 + w^2 = 2 p for the
         # first prime p, so x_1 = L e_1 has x_1 . x_1 = 0 and L x_1 = 0 mod p:
         # the sequence b^T L^k b is 1, 0, 0, ..., whose f = x leaves L e_1 =
-        # x_1, not 0. So f is refused and _krylov_mod finds q_p = x^2 beside a
-        # path pair of the same stack, which the sequence decides. Over the
-        # rationals q = x^2 - 2p, of rank 2, which the second prime gives
+        # x_1, not 0. So f is refused, and _krylov_mod breaks down on the
+        # same self-product: the member gives None beside a path pair of the
+        # same stack, which the sequence decides. Over the rationals q = x^2
+        # - 2p, of rank 2, which the later primes give
         import lapctrl.controllability as ctrl
         p = ctrl._prime(0)
         L = np.zeros((4, 4), dtype=np.int64)
@@ -834,13 +871,13 @@ class TestKalmanExact:
         path = laplacian(gen_path(3))
         b = _ev(4, 1).ravel()
         assert ctrl._minpoly_mod([L, path], [(0, b), (1, _ev(3, 1).ravel())], p) == [
-            (2, [0, 0, 1]), (3, None)]
+            None, (3, None)]
         assert lone_runs == [((L % p).tobytes(), 4)]
-        # in exact_verdicts: the fallback in the first round's stack, then
-        # the pair alone at the second prime
+        # in exact_verdicts: the breakdown in the first round's stack, then
+        # the pair alone at each later prime until its q lifts exactly
         lone_runs.clear()
         verdicts = exact_verdicts([(L, b), (path, _ev(3, 1))])
-        assert [n for _, n in lone_runs] == [4, 4]
+        assert [n for _, n in lone_runs] == [4, 4, 4]
         assert verdicts == [exact_verdict(L, b), exact_verdict(path, _ev(3, 1))]
         assert verdicts[0].rank == _fraction_free_rank(L, b) == 2
         # the same at 101 = 10^2 + 1^2 on a 3 x 3 matrix
@@ -848,22 +885,38 @@ class TestKalmanExact:
         lone_runs.clear()
         b2 = _ev(3, 2).ravel()
         assert ctrl._minpoly_mod([small, path], [(0, _ev(3, 1).ravel()), (1, b2)], 101) == [
-            (2, [0, 0, 1]), _krylov_mod_reference(path, b2, 101)]
+            None, _krylov_mod_reference(path, b2, 101)]
         assert [n for _, n in lone_runs] == [3]
 
-    def test_a_matrix_that_is_not_symmetric_runs_the_elimination(self, lone_runs):
-        # L e_1 = e_2 and L e_2 = 0 give b^T L^k b = 1, 0, 0, ... at b = e_1,
-        # whose minimal polynomial x is not q = x^2 of rank 2; and x_1 . x_1
-        # = 1 is not b^T L^2 b = 0, as the sequence needs L = L^T. So inside
-        # a stack the pair runs _krylov_mod, which gives the full rank
+    @pytest.fixture
+    def kernels_refused(self, monkeypatch):
+        """Every kernel an exact, PBH or Gramian decision could run, each
+        failing the test if it is called."""
         import lapctrl.controllability as ctrl
-        L = np.array([[0, 0], [1, 0]])
-        path = laplacian(gen_path(2))
-        p = ctrl._prime(0)
-        assert ctrl._minpoly_mod([L, path], [(0, _ev(2, 1).ravel()), (1, _ev(2, 1).ravel())],
-                                 p) == [(2, None), (2, None)]
-        assert lone_runs == [(L.tobytes(), 2)]
-        assert exact_verdicts([(L, _ev(2, 1)), (path, _ev(2, 1))])[0].rank == 2
+
+        def refused(*args, **kwargs):
+            raise AssertionError("a kernel ran on a matrix that is not symmetric")
+
+        for module, name in ((ctrl, "_krylov_mod"), (ctrl, "_minpoly_mod"),
+                             (np.linalg, "eigh"), (np.linalg, "svd")):
+            monkeypatch.setattr(module, name, refused)
+
+    @pytest.mark.parametrize("name, n", [("kalman_rank_exact", 3), ("exact_verdicts", 3),
+                                         ("pbh_verdict", 3), ("gramian_check", 3),
+                                         ("gramian_check", 202)])
+    def test_a_matrix_that_is_not_symmetric_is_refused(self, kernels_refused, name, n):
+        # a path Laplacian whose first edge points one way only: an integer
+        # matrix with a valid input that every decider refuses with one
+        # message before any kernel runs, the batch with a valid pair
+        # before it too, and the Gramian also above its 201 nodes
+        L = laplacian(gen_path(n))
+        L[1, 0] = 0
+        decide = {"kalman_rank_exact": kalman_rank_exact, "pbh_verdict": pbh_verdict,
+                  "gramian_check": gramian_check,
+                  "exact_verdicts": lambda L, b: exact_verdicts([(laplacian(gen_path(n)), b),
+                                                                 (L, b)])}[name]
+        with pytest.raises(ValueError, match="^matrix is not symmetric$"):
+            decide(L, _ev(n, 1))
 
     @pytest.fixture
     def residue_ranks(self, monkeypatch):
@@ -971,18 +1024,20 @@ class TestKalmanExact:
         assert peak < 2**20
 
     def test_a_wrapped_zero_alone_certifies_nothing(self):
-        # L e_1 = 2^43 e_2 and L e_2 = 2^21 p e_3 for the first prime p, so
-        # L^2 e_1 = 2^64 p e_3: 0 mod p and 0 mod 2^64, but not 0. The first
-        # prime sees rank 2 with q = x^2, whose uint64 Horner run gives 0;
-        # the inequality M 2^64 > 2 R^2 = 2^87 refuses it, as M 2^64 = p 2^64
-        # is near 2^85, and the second prime sees the full rank
+        # L = [[0, 1, K], [1, 0, 0], [K, 0, 2^32]] with K = 2^32 p for the
+        # first prime p: L e_1 = (0, 1, K) and L^2 e_1 = (1 + K^2, 0, 2^32 K),
+        # so q = x^2 - 1 gives q(L) e_1 = (2^64 p^2, 0, 2^64 p): 0 mod p and
+        # 0 mod 2^64, but not 0. The first prime sees rank 2 with that q,
+        # whose uint64 Horner run gives 0; the inequality M 2^64 > 2 (1 +
+        # R^2), R = K + 2^32 near 2^53, refuses it, as M 2^64 = p 2^64 is
+        # near 2^85, and the second prime sees the full rank
         import lapctrl.controllability as ctrl
         p = ctrl._prime(0)
-        L = np.zeros((3, 3), dtype=np.int64)
-        L[1, 0], L[2, 1] = 2**43, 2**21 * p
+        K = 2**32 * p
+        L = np.array([[0, 1, K], [1, 0, 0], [K, 0, 2**32]], dtype=np.int64)
         b = np.array([1, 0, 0])
-        assert ctrl._krylov_mod(L % p, b, p) == (2, [0, 0, 1])
-        assert ctrl._horner_zero(L, b, [0, 0, 1]) is True
+        assert ctrl._krylov_mod(L % p, b, p) == (2, [p - 1, 0, 1])
+        assert ctrl._horner_zero(L, b, [-1, 0, 1]) is True
         assert kalman_rank_exact(L, b) == 3
 
     @given(st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=6),
@@ -1045,18 +1100,13 @@ class TestKalmanExact:
 
     def test_low_rank_pair_builds_few_rows(self):
         # K_n at a vertex has rank 2 (q = x^2 - n x): the Lanczos recurrence
-        # takes one mat-vec a step and finds v_2 = 0 after two, not n; the
-        # elimination builds one block of rows, one mat-vec each
+        # takes one mat-vec a step and finds v_2 = 0 after two, not n
         import lapctrl.controllability as ctrl
         L = laplacian(gen_complete(512))
         assert kalman_rank_exact(L, _ev(512, 1)) == 2
         products = []
 
         class Counted(np.ndarray):
-            def __matmul__(self, other):
-                products.append(other.shape)
-                return np.asarray(self) @ other
-
             def dot(self, other):
                 products.append(other.shape)
                 return np.asarray(self).dot(other)
@@ -1065,9 +1115,6 @@ class TestKalmanExact:
         b = _ev(512, 1).ravel()
         assert ctrl._krylov_mod((L % p).view(Counted), b, p) == (2, [0, p - 512, 1])
         assert products == [(512,)] * 2
-        products.clear()
-        assert ctrl._eliminate_mod((L % p).view(Counted), b, p) == (2, [0, p - 512, 1])
-        assert products == [(512,)] * ctrl._FIRST_BLOCK
 
     def test_float_entries_outside_int64_are_refused_without_a_warning(self):
         with warnings.catch_warnings():
@@ -1140,7 +1187,7 @@ def _large_full_rank_pair(k, seed):
 class TestExactMetamorphic:
     # Relations the exact rank must keep, on random connected graphs of
     # order up to 10, and on full-rank pairs of order 100 to 200, where the
-    # rows cross the elimination's block boundaries. L has the eigenvector 1
+    # Lanczos recurrence runs a hundred steps or more. L has the eigenvector 1
     # (eigenvalue 0, a simple eigenvalue when G is connected), and the
     # Krylov dimension of b counts the eigenspaces that b meets, so the
     # relations follow from how the inputs meet them.
