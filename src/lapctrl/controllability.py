@@ -224,8 +224,8 @@ def _minpoly_mod(Ls: list[np.ndarray], members: list[tuple[int, np.ndarray]],
                  p: int) -> list[tuple[int, list[int] | None] | None]:
     """_krylov_mod(Ls[m] % p, b, p) for each member (m, b), every Ls[m]
     symmetric, found together from the sequences b^T L^k b mod p, as
-    exact_verdicts describes. The members of one L are the rows of one
-    product x_k+1^T = x_k^T L."""
+    exact_verdicts describes, or None where that run would break down. The
+    members of one L are the rows of one product x_k+1^T = x_k^T L."""
     out: list = [None] * len(members)
     by_order: dict[int, dict[int, list[int]]] = {}
     for i, (m, b) in enumerate(members):
@@ -290,7 +290,7 @@ def _minpoly_mod(Ls: list[np.ndarray], members: list[tuple[int, np.ndarray]],
         q = f.T.astype(np.int64) * inverses[:, None] % p
         for j, r, ok, qj in zip(i.tolist(), degree.tolist(), zero.tolist(), q.tolist()):
             out[j] = (r, qj[:r + 1]) if ok else None
-    return [_krylov_mod(Ls[m] % p, b, p) if o is None else o for o, (m, b) in zip(out, members)]
+    return out
 
 
 def _exact_matrix(L) -> np.ndarray:
@@ -322,8 +322,33 @@ def _horner_zero(L: np.ndarray, b: np.ndarray, q: list[int]) -> bool:
     Lu, powers = L.view(np.uint64), np.empty((len(q), len(b)), dtype=np.uint64)
     powers[0] = b
     for k in range(1, len(q)):
-        np.matmul(Lu, powers[k - 1], out=powers[k])
-    return not (np.array([c % 2**64 for c in q], dtype=np.uint64) @ powers).any()
+        Lu.dot(powers[k - 1], out=powers[k])
+    return not np.array([c % 2**64 for c in q], dtype=np.uint64).dot(powers).any()
+
+
+def _zero_mod_2_64(Ls: list[np.ndarray], checks: list[tuple]) -> list[bool]:
+    """_horner_zero(Ls[m], b, q) of each check (m, b, q), sorted by order; see exact_verdicts."""
+    if len(checks) == 1:  # each check and kalman_rank_exact call
+        return _group_zero(Ls, checks)
+    held = itertools.accumulate(8 * len(b) * (len(b) + 1) for _, b, _ in checks)
+    groups = itertools.groupby(zip(held, checks),
+                               lambda item: (len(item[1][1]), item[0] // _STACK_BYTES))
+    return [zero for _, group in groups for zero in _group_zero(Ls, [check for _, check in group])]
+
+
+def _group_zero(Ls: list[np.ndarray], group: list[tuple]) -> list[bool]:
+    """_zero_mod_2_64 of one group, all of one order."""
+    if len(group) == 1:
+        return [_horner_zero(Ls[group[0][0]], *group[0][1:])]
+    ms, bs, qs = zip(*group)
+    top = max(map(len, qs))
+    x = np.empty((top, len(bs), len(bs[0]), 1), dtype=np.uint64)
+    x[0, ..., 0] = bs
+    mats = (np.stack([Ls[m] for m in ms]) if len(set(ms)) > 1 else Ls[ms[0]][None]).view(np.uint64)
+    for k in range(1, top):
+        np.matmul(mats, x[k - 1], out=x[k])
+    coeffs = np.array([[c % 2**64 for c in q] + [0] * (top - len(q)) for q in qs], dtype=np.uint64)
+    return (~np.einsum("mk,kmi->mi", coeffs, x[..., 0]).any(axis=1)).tolist()
 
 
 def _certify(pairs: Iterable[tuple]) -> tuple[list[tuple[int, int]], list[int]]:
@@ -332,14 +357,14 @@ def _certify(pairs: Iterable[tuple]) -> tuple[list[tuple[int, int]], list[int]]:
     matrices: dict[tuple, int] = {}  # (dtype, shape, bytes) of L -> index in validated
     validated: list[np.ndarray] = []  # int64 L of each distinct matrix
     row_sums: dict[int, int] = {}  # R of each distinct matrix, once a pair needs it
-    columns: dict[tuple, np.ndarray] = {}  # (order, dtype, shape, bytes) of b -> flat int64 b
+    columns: dict[tuple, tuple] = {}  # (order, dtype, shape, bytes) of b -> flat int64 b, its bytes
     index: dict[tuple[int, bytes], int] = {}
     members: list[tuple[int, np.ndarray]] = []  # (matrix index, b)
     order = []
     last = None  # the previous pair's key; pairs that ask about one L tend to come in runs
     for L, B in pairs:
         mat = np.asarray(L)
-        key = mat.dtype.str, mat.shape, mat.tobytes()
+        key = mat.dtype, mat.shape, mat.tobytes()
         if key != last:
             last, m = key, matrices.get(key)
         if m is None:
@@ -349,10 +374,11 @@ def _certify(pairs: Iterable[tuple]) -> tuple[list[tuple[int, int]], list[int]]:
             validated.append(_exact_matrix(mat))
             m = matrices[key] = len(validated) - 1
         col, n = np.asarray(B), len(validated[m])
-        column = n, col.dtype.str, col.shape, col.tobytes()
-        if (b := columns.get(column)) is None:
-            b = columns[column] = _as_control(col, n)
-        member = m, b.tobytes()
+        column = n, col.dtype, col.shape, col.tobytes()
+        if (known := columns.get(column)) is None:
+            b = _as_control(col, n)
+            known = columns[column] = b, b.tobytes()
+        b, member = known[0], (m, known[1])
         if member not in index:
             index[member] = len(members)
             members.append((m, b))
@@ -364,13 +390,13 @@ def _certify(pairs: Iterable[tuple]) -> tuple[list[tuple[int, int]], list[int]]:
     for i in itertools.count():
         p = _prime(i)
         held = itertools.accumulate(8 * n * (n + 1) for n in (len(members[j][1]) for j in pending))
-        residues = []
+        residues, checks = [], {}  # the pairs' checks mod 2^64
         for _, group in itertools.groupby(zip(held, pending), lambda item: item[0] // _STACK_BYTES):
             stack = [members[j] for _, j in group]
             residues += (_minpoly_mod(validated, stack, p) if len(stack) > 1
                          else [_krylov_mod(validated[stack[0][0]] % p, stack[0][1], p)])
         for j, residue in zip(pending, residues):
-            if residue is None:  # a Lanczos breakdown: the pair waits for the next prime
+            if residue is None:  # a breakdown, alone or in a stack: it waits for the next prime
                 continue
             (rank, q), (m, b) = residue, members[j]
             if rank == len(b):
@@ -394,8 +420,10 @@ def _certify(pairs: Iterable[tuple]) -> tuple[list[tuple[int, int]], list[int]]:
                 bound = bound * row_sums[m] + abs(c)
             if modulus > 2 * bound:
                 ranks[j] = rank
-            elif modulus << 64 > 2 * bound and _horner_zero(validated[m], b, lifted):
-                ranks[j] = rank
+            elif modulus << 64 > 2 * bound:
+                checks[j] = m, b, lifted
+        for j, zero in zip(checks, _zero_mod_2_64(validated, [*checks.values()]) if checks else ()):
+            ranks[j] = crt[j][0] if zero else None
         pending = [j for j in pending if ranks[j] is None]
         if not pending:
             return [(rank, len(b)) for rank, (_, b) in zip(ranks, members)], order
@@ -420,10 +448,10 @@ def kalman_rank_exact(L, B) -> int:
     at most r. With R the largest absolute row sum of L, every entry of
     q(L) b is at most bound = sum_k |q_k| R^k in size, and 2^64 is coprime
     to M, so q(L) b = 0 over the integers once M 2^64 > 2 bound and q(L) b
-    = 0 mod 2^64. One Horner run per pair, _horner_zero, checks the
-    latter, skipped when M > 2 bound already decides. Otherwise another
+    = 0 mod 2^64. _horner_zero checks the latter by one uint64 power run on
+    a view of L, skipped when M > 2 bound already decides. Otherwise another
     prime joins; a higher rank restarts the combination. This is
-    exact_verdicts of the one pair, which also tells how a stack finds q_p.
+    exact_verdicts of the one pair, which also tells how stacks and checks run.
     """
     (rank, _), = _certify([(L, B)])[0]
     return rank
@@ -460,12 +488,15 @@ def exact_verdicts(pairs: Iterable[tuple]) -> list[Verdict]:
     stack (Wiedemann 1986) finds the minimal polynomial f of each pair's 2n
     terms. f divides q_p: degree n is rank n at once, and only a lower
     degree forms f(L) b, taken as q_p when f(L) b = 0 mod p, as q_p then
-    divides f. Any other pair runs _krylov_mod. Residues join the CRT
-    combinations as in kalman_rank_exact, and a q that needs the check mod
-    2^64 (M <= 2 bound < M 2^64) takes one Horner run per pair where its
-    bound is computed. A pair that neither decides, or whose Lanczos run
-    breaks down, waits for the next round's prime. Pairs of one (rank, n)
-    share one Verdict.
+    divides f; any other pair's Lanczos run would break down, so it gives
+    nothing. Residues join the CRT combinations as in kalman_rank_exact;
+    the round's checks mod 2^64 (M <= 2 bound < M 2^64) go to one
+    _zero_mod_2_64 call, cut like the stacks (_STACK_BYTES, 2 MiB) and by
+    order. A group of one runs _horner_zero on a view of L; a larger one
+    takes one uint64 mat-vec a step for all its members up to its longest
+    q, on a stack of their L, or on a view of L when one L serves it. A
+    pair left undecided waits for the next round's prime. Pairs of one
+    (rank, n) share one Verdict.
     """
     certified, order = _certify(pairs)
     shared = {(rank, n): Verdict(controllable=rank == n, method="exact", rank=rank)

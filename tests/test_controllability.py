@@ -799,9 +799,9 @@ class TestKalmanExact:
         # orders 2..40 at every vertex, random graphs up to order 60 at
         # random inputs, and symmetric integer matrices. Every member must
         # match the reference pair by pair; at small primes, where a
-        # sequence misses q_p more often and runs _krylov_mod, a member may
-        # instead give None, a breakdown of that run. The reference is slow,
-        # so those primes take the family orders up to 24 only
+        # sequence misses q_p more often, a member may instead give None,
+        # with no _krylov_mod run. The reference is slow, so those primes
+        # take the family orders up to 24 only
         import lapctrl.controllability as ctrl
         rng = random.Random(23)
         Ls, families, others = [], [], []
@@ -832,11 +832,13 @@ class TestKalmanExact:
             if p == ctrl._prime(0):
                 assert result == reference
                 assert {2, 39, 40} <= {rank for rank, _ in result}
+            # a sequence of linear complexity below deg q_p makes a leading
+            # Hankel minor of the s_k singular, and with it a Lanczos
+            # self-product, so a lone run on each None member breaks down too
+            missed = [(m, b) for (m, b), got in zip(stack, result) if got is None]
+            assert [ctrl._krylov_mod(Ls[m] % p, b, p) for m, b in missed] == [None] * len(missed)
         assert runs[ctrl._prime(0)] == (0, 0)
-        # a sequence of linear complexity below deg q_p makes a leading
-        # Hankel minor of the s_k singular, and with it a Lanczos
-        # self-product, so each run it falls back to breaks down as well
-        assert runs[13][0] == runs[13][1] > 0
+        assert runs[13] == (0, 39)
 
     @pytest.mark.parametrize("j", [0, 5, 10, 15, 20])
     def test_powers_reduced_in_blocks_match_the_reference_kernel(self, j):
@@ -859,10 +861,11 @@ class TestKalmanExact:
         # L e_1 = u e_2 + v e_3 + w e_4 with u^2 + v^2 + w^2 = 2 p for the
         # first prime p, so x_1 = L e_1 has x_1 . x_1 = 0 and L x_1 = 0 mod p:
         # the sequence b^T L^k b is 1, 0, 0, ..., whose f = x leaves L e_1 =
-        # x_1, not 0. So f is refused, and _krylov_mod breaks down on the
-        # same self-product: the member gives None beside a path pair of the
-        # same stack, which the sequence decides. Over the rationals q = x^2
-        # - 2p, of rank 2, which the later primes give
+        # x_1, not 0. So f is refused, and the member gives None without a
+        # _krylov_mod run, which would break down on the same self-product,
+        # beside a path pair of the same stack, which the sequence decides.
+        # Over the rationals q = x^2 - 2p, of rank 2, which the later primes
+        # give
         import lapctrl.controllability as ctrl
         p = ctrl._prime(0)
         L = np.zeros((4, 4), dtype=np.int64)
@@ -872,12 +875,13 @@ class TestKalmanExact:
         b = _ev(4, 1).ravel()
         assert ctrl._minpoly_mod([L, path], [(0, b), (1, _ev(3, 1).ravel())], p) == [
             None, (3, None)]
-        assert lone_runs == [((L % p).tobytes(), 4)]
-        # in exact_verdicts: the breakdown in the first round's stack, then
-        # the pair alone at each later prime until its q lifts exactly
+        assert lone_runs == []
+        assert ctrl._krylov_mod(L % p, b, p) is None
+        # in exact_verdicts: the miss in the first round's stack, then the
+        # pair alone at each later prime until its q lifts exactly
         lone_runs.clear()
         verdicts = exact_verdicts([(L, b), (path, _ev(3, 1))])
-        assert [n for _, n in lone_runs] == [4, 4, 4]
+        assert [n for _, n in lone_runs] == [4, 4]
         assert verdicts == [exact_verdict(L, b), exact_verdict(path, _ev(3, 1))]
         assert verdicts[0].rank == _fraction_free_rank(L, b) == 2
         # the same at 101 = 10^2 + 1^2 on a 3 x 3 matrix
@@ -886,7 +890,8 @@ class TestKalmanExact:
         b2 = _ev(3, 2).ravel()
         assert ctrl._minpoly_mod([small, path], [(0, _ev(3, 1).ravel()), (1, b2)], 101) == [
             None, _krylov_mod_reference(path, b2, 101)]
-        assert [n for _, n in lone_runs] == [3]
+        assert lone_runs == []
+        assert ctrl._krylov_mod(small, _ev(3, 1).ravel(), 101) is None
 
     @pytest.fixture
     def kernels_refused(self, monkeypatch):
@@ -983,14 +988,13 @@ class TestKalmanExact:
 
     def test_a_shorter_q_stays_zero_until_its_own_degree(self):
         # P3 at vertex 2 has the minimal polynomial x(x - 3), so g = x - 3
-        # gives g(L) e_2 = -1: nonzero, but in the kernel of L. Checked on
-        # one L beside a q of degree 3 (P3 at vertex 1), g must not pick up
-        # a factor of L from it
+        # gives g(L) e_2 = -1: nonzero, but in the kernel of L. Checked in
+        # one power run on one L beside a q of degree 3 (P3 at vertex 1), g
+        # must not pick up a factor of L from it
         import lapctrl.controllability as ctrl
-        L = laplacian(gen_path(3))
-        zero = [ctrl._horner_zero(L, _ev(3, v).ravel(), q)
-                for v, q in ((2, [-3, 1]), (2, [0, -3, 1]), (1, [0, 3, -4, 1]))]
-        assert zero == [False, True, True]
+        checks = [(0, _ev(3, v).ravel(), q)
+                  for v, q in ((2, [-3, 1]), (2, [0, -3, 1]), (1, [0, 3, -4, 1]))]
+        assert ctrl._zero_mod_2_64([laplacian(gen_path(3))], checks) == [False, True, True]
 
     def test_horner_reports_a_wrapped_zero_as_zero(self):
         # L = diag(0, 2^32), b = (1, 1), q = x^2: q(L) b = (0, 2^64), which
@@ -998,29 +1002,30 @@ class TestKalmanExact:
         # mod 2^64, not over the integers. Such a zero certifies a pair only
         # beside q(L) b = 0 mod M and M 2^64 > 2 sum |q_k| R^k; here q(L) b
         # is not 0 mod any odd M. Beside it, diag(0, 3) with q = x^2 - 3x is
-        # an exact zero, and with q = x^2 gives (0, 9), not 0 mod 2^64
+        # an exact zero, and with q = x^2 gives (0, 9), not 0 mod 2^64; all
+        # three in one power run over both matrices
         import lapctrl.controllability as ctrl
         Ls = [np.diag([0, 2**32]), np.diag([0, 3])]
         b = np.ones(2, dtype=np.int64)
-        zero = [ctrl._horner_zero(Ls[m], b, q)
-                for m, q in ((0, [0, 0, 1]), (1, [0, -3, 1]), (1, [0, 0, 1]))]
-        assert zero == [True, True, False]
+        checks = [(m, b, q) for m, q in ((0, [0, 0, 1]), (1, [0, -3, 1]), (1, [0, 0, 1]))]
+        assert ctrl._zero_mod_2_64(Ls, checks) == [True, True, False]
 
     def test_horner_reads_the_matrix_in_place(self):
         # 2^10 L(K512) has q = x^2 - 2^19 x, so q(L) b = 0 for every b. L
         # takes 2 MiB, so a run that copied it (say to uint64) could not
-        # stay under 1 MiB; the powers and coefficients take about 12 KiB
+        # stay under 1 MiB; the powers and coefficients take about 12 KiB.
+        # A lone check is a group of one, run on a view of L
         import tracemalloc
         import lapctrl.controllability as ctrl
         L = 2**10 * laplacian(gen_complete(512))
         b = _ev(512, 1).ravel()
         tracemalloc.start()
         try:
-            zero = ctrl._horner_zero(L, b, [0, -2**19, 1])
+            zero = ctrl._zero_mod_2_64([L], [(0, b, [0, -2**19, 1])])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert zero is True
+        assert zero == [True]
         assert peak < 2**20
 
     def test_a_wrapped_zero_alone_certifies_nothing(self):
@@ -1040,44 +1045,61 @@ class TestKalmanExact:
         assert ctrl._horner_zero(L, b, [-1, 0, 1]) is True
         assert kalman_rank_exact(L, b) == 3
 
-    @given(st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=6),
-           st.booleans(), st.integers())
+    @given(st.lists(st.tuples(st.integers(min_value=1, max_value=6),
+                              st.integers(min_value=1, max_value=6), st.booleans()),
+                    min_size=2, max_size=7), st.integers())
     @settings(max_examples=100, deadline=None, derandomize=True)
-    def test_horner_zero_matches_a_big_integer_evaluation(self, n, k, perturb, seed):
+    def test_horner_zero_matches_a_big_integer_evaluation(self, members, seed):
         # an upper triangular L keeps e_1 ... e_k invariant, so by
         # Cayley-Hamilton on its leading block q = prod_{i <= k} (x - L_ii)
         # has q(L) b = 0 for any b on those entries; shifting q's
         # coefficients by multiples of 2^64 keeps it 0 mod 2^64, and a
         # perturbed coefficient usually does not. Entries sit near +-2^63,
         # q is shorter than n + 1 whenever k < n, and Python integers
-        # evaluate q(L) b exactly by Horner's rule
+        # evaluate q(L) b exactly by Horner's rule. The members go to one
+        # call: they mix orders, the first two are two matrices of one
+        # order, and a later member may take an earlier matrix of its
+        # order, with its own k and b, so q of several degrees share one run
         import lapctrl.controllability as ctrl
         rng = random.Random(seed)
-        k = min(k, n)
+        members[1] = members[0][0], *members[1][1:]
 
         def entry():
             return rng.choice([-2**63 + rng.randrange(2**8), 2**63 - 1 - rng.randrange(2**8),
                                rng.randrange(-2**63, 2**63), rng.randint(-3, 3)])
 
-        L = [[entry() if j >= i else 0 for j in range(n)] for i in range(n)]
-        b = [0] * n
-        for i in rng.sample(range(k), rng.randint(1, k)):
-            b[i] = 1
-        q = [1]
-        for i in range(k):
-            q = [lo - L[i][i] * hi for lo, hi in zip([0] + q, q + [0])]
-        q = [c + 2**64 * rng.randint(-2**10, 2**10) for c in q[:-1]] + [1]
-        if perturb:
-            q[rng.randrange(k)] += rng.randrange(1, 2**64)
-        order = rng.sample(range(n), n)  # relabel, so that L is not triangular
-        L = [[L[i][j] for j in order] for i in order]
-        b = [b[i] for i in order]
-        value = [0] * n
-        for c in reversed(q):
-            value = [sum(a * x for a, x in zip(row, value)) + c * x for row, x in zip(L, b)]
-        expected = not any(v % 2**64 for v in value)
-        assert expected or perturb
-        assert ctrl._horner_zero(np.array(L, dtype=np.int64), np.array(b), q) is expected
+        Ls, checks = [], []  # (triangular L, relabelling) of each matrix; (n, m, b, q, zero)
+        for j, (n, k, perturb) in enumerate(members):
+            k = min(k, n)
+            earlier = [m for m, (T, _) in enumerate(Ls) if len(T) == n]
+            if j < 2 or not earlier or rng.random() < 0.5:
+                T = [[entry() if c >= r else 0 for c in range(n)] for r in range(n)]
+                Ls.append((T, rng.sample(range(n), n)))  # relabelled, L is not triangular
+                earlier.append(len(Ls) - 1)
+            m = rng.choice(earlier) if j >= 2 else len(Ls) - 1
+            T, order = Ls[m]
+            b = [0] * n
+            for i in rng.sample(range(k), rng.randint(1, k)):
+                b[i] = 1
+            q = [1]
+            for i in range(k):
+                q = [lo - T[i][i] * hi for lo, hi in zip([0] + q, q + [0])]
+            q = [c + 2**64 * rng.randint(-2**10, 2**10) for c in q[:-1]] + [1]
+            if perturb:
+                q[rng.randrange(k)] += rng.randrange(1, 2**64)
+            L = [[T[r][c] for c in order] for r in order]
+            b = [b[i] for i in order]
+            value = [0] * n
+            for c in reversed(q):
+                value = [sum(a * x for a, x in zip(row, value)) + c * x for row, x in zip(L, b)]
+            expected = not any(v % 2**64 for v in value)
+            assert expected or perturb
+            checks.append((n, m, np.array(b), q, expected))
+        checks.sort(key=lambda check: check[0])
+        Ls = [np.array([[T[r][c] for c in order] for r in order], dtype=np.int64)
+              for T, order in Ls]
+        assert ctrl._zero_mod_2_64(Ls, [(m, b, q) for _, m, b, q, _ in checks]) == [
+            zero for *_, zero in checks]
 
     def test_a_large_upper_bound_keeps_the_crt_loop(self, monkeypatch):
         # 2^40 L(P40) at vertex 8 has rank 38 and R = 2^42, so the bound
@@ -1383,11 +1405,11 @@ class TestExactVerdicts:
     @pytest.fixture
     def kernel_calls(self, monkeypatch):
         """(prime, sorted member orders) of each Krylov kernel call, a single
-        _krylov_mod run holding one member, and whether each Horner check
-        found q(L) b = 0 mod 2^64, one boolean per call (one pair)."""
+        _krylov_mod run holding one member, and whether each check mod 2^64
+        found q(L) b = 0 there, one boolean per member of each batched call."""
         import lapctrl.controllability as ctrl
         krylov, horner = [], []
-        single, stacked, zero = ctrl._krylov_mod, ctrl._minpoly_mod, ctrl._horner_zero
+        single, stacked, zero = ctrl._krylov_mod, ctrl._minpoly_mod, ctrl._zero_mod_2_64
 
         def single_recording(L, b, p):
             krylov.append((p, [len(b)]))
@@ -1397,14 +1419,14 @@ class TestExactVerdicts:
             krylov.append((p, sorted(len(b) for _, b in members)))
             return stacked(Ls, members, p)
 
-        def horner_recording(*args):
-            decided = zero(*args)
-            horner.append(decided)
+        def horner_recording(Ls, checks):
+            decided = zero(Ls, checks)
+            horner.extend(decided)
             return decided
 
         monkeypatch.setattr(ctrl, "_krylov_mod", single_recording)
         monkeypatch.setattr(ctrl, "_minpoly_mod", stack_recording)
-        monkeypatch.setattr(ctrl, "_horner_zero", horner_recording)
+        monkeypatch.setattr(ctrl, "_zero_mod_2_64", horner_recording)
         return krylov, horner
 
     def test_each_later_prime_runs_one_stack_per_order(self, kernel_calls):
@@ -1437,11 +1459,12 @@ class TestExactVerdicts:
 
     def test_a_horner_overflow_waits_beside_pairs_decided_at_once(self, kernel_calls):
         # one batch of order 40: 2^40 L(P40) at vertex 8, whose bound (R =
-        # 2^42) waits for the 74th prime; L(P40) at vertex 8, certified by
-        # Horner at the third prime; AR40 at vertices 2 and 3, certified by
-        # Horner at the first; K40 at vertex 1, by the CRT bound at the first;
-        # and P40 at vertex 1, of full rank. The first round's Horner runs
-        # are the two AR40 q, the only ones with M 2^64 past twice the bound
+        # 2^42) waits for the 74th prime; L(P40) at vertex 8, certified mod
+        # 2^64 at the third prime; AR40 at vertices 2 and 3, certified mod
+        # 2^64 at the first; K40 at vertex 1, by the CRT bound at the first;
+        # and P40 at vertex 1, of full rank. The first round's checks mod
+        # 2^64 are the two AR40 q, the only ones with M 2^64 past twice the
+        # bound, in one group of one call
         import lapctrl.controllability as ctrl
         krylov, horner = kernel_calls
         path = laplacian(gen_path(40))
@@ -1450,8 +1473,8 @@ class TestExactVerdicts:
                  (laplacian(gen_antiregular(40)), _ev(40, 3)), (path, _ev(40, 1))]
         verdicts = exact_verdicts(pairs)
         assert [v.rank for v in verdicts] == [_fraction_free_rank(L, b) for L, b in pairs]
-        # L(P40) at vertex 8 meets Horner at the second and third primes, and
-        # 2^40 L(P40) at vertex 8 only at the last
+        # L(P40) at vertex 8 meets the check at the second and third primes,
+        # and 2^40 L(P40) at vertex 8 only at the last
         assert horner == [True, True, False, True, True]
         assert krylov[:3] == [(ctrl._prime(0), [40] * 6), (ctrl._prime(1), [40] * 2),
                               (ctrl._prime(2), [40] * 2)]
@@ -1459,10 +1482,11 @@ class TestExactVerdicts:
 
     def test_horner_holds_a_shared_matrix_once(self, kernel_calls):
         # 2^10 L(K128) has q = x^2 - 2^17 x and R = 2^18 * 127, so the CRT
-        # bound leaves every vertex to Horner in the first round. Each of the
-        # 128 runs reads the one matrix through a view: a copy of it per
+        # bound leaves every vertex to the check mod 2^64 in the first round.
+        # Its one call cuts the 128 members into groups of about 16, each
+        # run reading the one matrix through a view: a copy of it per
         # member, held together, would take 16 MiB. A copy made and freed
-        # within each run stays under this bound; the one-run test
+        # within each group stays under this bound; the one-check test
         # test_horner_reads_the_matrix_in_place catches it
         import tracemalloc
         _, horner = kernel_calls
@@ -1477,6 +1501,50 @@ class TestExactVerdicts:
         assert [v.rank for v in verdicts] == [2] * 128
         assert horner == [True] * 128
         assert peak < 4 * 2**20
+
+    @pytest.fixture
+    def zero_groups(self, monkeypatch):
+        """The groups of each _zero_mod_2_64 call, a group as its members'
+        orders."""
+        import lapctrl.controllability as ctrl
+        calls = []
+        batched, grouped = ctrl._zero_mod_2_64, ctrl._group_zero
+
+        def batched_recording(Ls, checks):
+            calls.append([])
+            return batched(Ls, checks)
+
+        def group_recording(Ls, group):
+            calls[-1].append([len(b) for _, b, _ in group])
+            return grouped(Ls, group)
+
+        monkeypatch.setattr(ctrl, "_zero_mod_2_64", batched_recording)
+        monkeypatch.setattr(ctrl, "_group_zero", group_recording)
+        return calls
+
+    def test_a_round_checks_mod_2_64_in_one_call_a_group_per_order(self, zero_groups):
+        # 2^10 L(K_n) has q = x^2 - 2^10 n x, whose check mod 2^64 decides
+        # in the first round: K3 at its three vertices, 2^10 and 2^11 L(K4)
+        # at seven vertices (two matrices of one order), K5 at one (a lone
+        # group) and K160 at 21. Sorted by order, the running total of 8 n
+        # (n + 1) bytes a member is 1648 before K160, so K160 is cut after
+        # its 10th and 20th members. L(P40) at vertex 8 meets the check
+        # alone at the second and third primes, so each of the three rounds
+        # makes one call
+        import lapctrl.controllability as ctrl
+        pairs = [(2**10 * laplacian(gen_complete(3)), _ev(3, v)) for v in (1, 2, 3)]
+        pairs += [(2**j * laplacian(gen_complete(4)), _ev(4, v)) for j, vs in ((10, (1, 2, 3, 4)),
+                                                                               (11, (1, 2, 3)))
+                  for v in vs]
+        pairs += [(2**10 * laplacian(gen_complete(5)), _ev(5, 1)),
+                  (laplacian(gen_path(40)), _ev(40, 8))]
+        pairs += [(2**10 * laplacian(gen_complete(160)), _ev(160, v)) for v in range(1, 22)]
+        assert 3 * 8 * 3 * 4 + 7 * 8 * 4 * 5 + 8 * 5 * 6 == 1648
+        assert 1648 + 10 * 8 * 160 * 161 < ctrl._STACK_BYTES < 1648 + 11 * 8 * 160 * 161
+        verdicts = exact_verdicts(pairs)
+        assert zero_groups == [[[3] * 3, [4] * 7, [5], [160] * 10, [160] * 10, [160]], [[40]],
+                               [[40]]]
+        assert [v.rank for v in verdicts] == [2] * 11 + [_fraction_free_rank(*pairs[11])] + [2] * 21
 
     @pytest.mark.parametrize("L, b", [
         (1.5 * laplacian(gen_path(3)), _ev(3, 1)),
