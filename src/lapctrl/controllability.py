@@ -155,7 +155,7 @@ def _prime(i: int) -> int:
     return _PRIMES[i]
 
 
-_STACK_BYTES = 1 << 21  # powers x_k of a stack of pairs, the one cut _certify makes in a round
+_STACK_BYTES = 1 << 21  # 8 n (n + 1) bytes a pair: where _certify cuts a round's stacks and checks
 
 
 def _krylov_mod(L: np.ndarray, b: np.ndarray, p: int) -> tuple[int, list[int] | None] | None:
@@ -183,7 +183,7 @@ def _krylov_mod(L: np.ndarray, b: np.ndarray, p: int) -> tuple[int, list[int] | 
     for k in range(n):
         d = int(v.dot(v)) % p
         if not d:
-            return None if v.any() else (k, _lanczos_q(steps, p))
+            return None if v.any() else (k, _lanczos_q(steps, p).tolist())
         if k == n - 1:
             break
         c, inverse = d * inverse % p, pow(d, -1, p)
@@ -199,10 +199,12 @@ def _krylov_mod(L: np.ndarray, b: np.ndarray, p: int) -> tuple[int, list[int] | 
     return n, None
 
 
-def _lanczos_q(steps: list[tuple[int, int]], p: int) -> list[int]:
-    """P_r mod p from the recurrence's (a_k, c_k), coefficients constant first."""
+def _lanczos_q(steps: list[tuple[int, int]] | np.ndarray, p: int) -> np.ndarray:
+    """P_r mod p from the recurrence's (a_k, c_k), coefficients constant
+    first: from (int, int) pairs for one pair, or from an int64 array (r, 2,
+    columns) for a column of coefficients per polynomial."""
     # P_k sits in q[1:], so q[:-1] is x P_k
-    prev, q = np.zeros(len(steps) + 2, dtype=np.int64), np.zeros(len(steps) + 2, dtype=np.int64)
+    prev, q = np.zeros((2, len(steps) + 2, *np.shape(steps[0])[1:]), dtype=np.int64)
     q[1] = 1
     for a, c in steps:
         prev *= -c
@@ -210,86 +212,88 @@ def _lanczos_q(steps: list[tuple[int, int]], p: int) -> list[int]:
         prev[1:] -= a * q[1:]
         prev %= p
         prev, q = q, prev
-    return q[1:].tolist()
+    return q[1:]
 
 
 def _balance(x: np.ndarray, p: int) -> np.ndarray:
     """x in place, integer float64 below 2^52 in size, as residues mod p within p/2 + 1 of 0."""
     t = x * (1 / p)
-    x -= np.rint(t, out=t) * p
+    x -= np.multiply(np.rint(t, out=t), p, out=t)
     return x
+
+
+def _blocks(ms: list[int], key=None) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """The distinct matrices of ms, sorted by key, and each member's block (its
+    matrix's place among them) and slot (its place among its matrix's members)."""
+    distinct = sorted(set(ms), key=key)
+    block, slots = {m: i for i, m in enumerate(distinct)}, {m: itertools.count() for m in distinct}
+    return distinct, np.array([block[m] for m in ms]), np.array([next(slots[m]) for m in ms])
 
 
 def _minpoly_mod(Ls: list[np.ndarray], members: list[tuple[int, np.ndarray]],
                  p: int) -> list[tuple[int, list[int] | None] | None]:
     """_krylov_mod(Ls[m] % p, b, p) for each member (m, b), every Ls[m]
-    symmetric, found together from the sequences b^T L^k b mod p, as
-    exact_verdicts describes, or None where that run would break down. The
-    members of one L are the rows of one product x_k+1^T = x_k^T L."""
-    out: list = [None] * len(members)
-    by_order: dict[int, dict[int, list[int]]] = {}
-    for i, (m, b) in enumerate(members):
-        by_order.setdefault(len(b), {}).setdefault(m, []).append(i)
-    # Berlekamp-Massey without inverses, a column per member, shortest order
-    # first. C holds its coefficients highest degree first in rows up to
-    # top, so C . s is a dot product with a window of s; B is kept times x
-    # by a moving window
-    orders = np.sort([len(b) for _, b in members])
-    top = int(orders[-1])
-    seqs, C, B = (np.zeros((rows, len(orders))) for rows in (2 * top, 2 * top + 1, 3 * top))
-    C[top] = B[top - 1] = 1
-    beta, length = np.ones(len(orders)), np.zeros(len(orders), dtype=np.intp)
-    runs = []  # (columns, n, members, x_0 ... x_n by row, each member's row) per order
-    for n, groups in sorted(by_order.items()):
-        slots = [(g, c, i) for g, cols in enumerate(groups.values()) for c, i in enumerate(cols)]
-        g, c, i = np.array(slots).T
-        x = np.zeros((n + 1, g[-1] + 1, c.max() + 1, n))
-        x[0, g, c] = np.stack([members[j][1] for j in i])
-        mats = _balance((np.stack([Ls[m] for m in groups]) % p).astype(np.float64), p)
-        # lag products take a reduced x_k to at most (p/2 + 1) R^lag, R the largest
-        # absolute column sum of mats: each block of lag powers is reduced once
-        R = int(np.abs(mats).sum(axis=1).max())
-        lag = next((j for j in range(1, n) if (p + 2) * R ** (j + 1) >= 2**53), n)
-        for k in range(1, n + 1):
-            np.matmul(x[k - 1], mats, out=x[k])
-            if k % lag == 0 or k == n:
-                _balance(x[k - (k - 1) % lag:k + 1], p)
-        rows, x = g * x.shape[2] + c, x.reshape(n + 1, -1, n)
-        cols = np.searchsorted(orders, n) + np.arange(len(i))
-        seqs[:2 * n:2, cols] = np.einsum("kij,kij->ki", x[:n], x[:n])[:, rows]
-        seqs[1:2 * n:2, cols] = np.einsum("kij,kij->ki", x[:n], x[1:])[:, rows]
-        runs.append((cols, n, i, x, rows))
-    _balance(seqs, p)
-    span = 0  # the largest length among live members
-    for k, a in enumerate(np.searchsorted(orders, np.arange(2 * top) // 2, side="right").tolist()):
-        Cv, Bv, Lv = C[:top + 1, a:], B[k:k + top + 1, a:], length[a:]
-        d = np.remainder(np.einsum("ij,ij->j", Cv[top - span:], seqs[k - span:k + 1, a:]), p)
-        grow = np.logical_and(d, Lv <= k // 2)
-        np.subtract(k + 1, Lv, out=Lv, where=grow)
-        span = int(Lv.max(initial=0))
-        dB = Bv[top - span:] * d
-        np.copyto(Bv, Cv, where=grow)
-        Cv[top - span:] *= beta[a:]
-        Cv[top - span:] -= dB
-        _balance(Cv[top - span:], p)
-        np.copyto(beta[a:], d, where=grow)
+    symmetric, by one division-free Lanczos recurrence over the stack, as
+    exact_verdicts describes: the members of one L are the rows of one
+    block U, and a step is one product U L for every block."""
+    ms, g, s = _blocks([m for m, _ in members], key=lambda m: -len(Ls[m]))
+    orders = np.array([len(Ls[m]) for m in ms])[:, None]
+    top = int(orders[0, 0])
+    mats, U = np.zeros((len(ms), top, top)), np.zeros((len(ms), s.max() + 1, top))
+    for j, m in enumerate(ms):
+        mats[j, :len(Ls[m]), :len(Ls[m])] = Ls[m] % p
+    for j, slot, (_, b) in zip(g.tolist(), s.tolist(), members):
+        U[j, slot, :len(b)] = b
+    # residues of least size and their largest absolute row sum R, made with no
+    # float temporary the size of mats: the stack's peak memory is mats, not copies
+    np.subtract(mats, p, out=mats, where=mats > p // 2)
+    R = np.add.reduce(mats, axis=2, where=mats > 0) - np.add.reduce(mats, axis=2, where=mats < 0)
+    # n R (p/2 + 1)^2 bounds u . L u and the update's terms while L u is not reduced
+    reduce = top * int(R.max()) * (p // 2 + 1) ** 2 >= 2**52
+    reach = (orders > np.arange(1, top + 1)).sum(axis=0).tolist()  # blocks of order > k + 1
+    live, rank = U.any(axis=2), np.repeat(orders, U.shape[1], axis=1)  # rank -1: a breakdown
+    coeffs = np.zeros((top, 3, *live.shape))  # (d d', e d', f d) of each step
+    prev, dprev = np.zeros_like(U), np.ones(live.shape)
+    for k in range(top):
+        W, step = np.matmul(U, mats[:len(U)]), coeffs[k, :, :len(U)]
+        if reduce:
+            _balance(W, p)
+        for row, (x, y) in enumerate(((U, U), (U, W), (prev, W))):
+            np.einsum("gci,gci->gc", x, y, out=step[row])
+        d = _balance(step, p)[0].copy()
+        if (stop := live[:len(U)] & (d == 0)).any():
+            rank[:len(U)][stop] = np.where(U[stop].any(axis=1), -1, k)
+            live[:len(U)] &= ~stop
+        if not (running := np.flatnonzero(live[:reach[k]].any(axis=1))).size:
+            break
+        G = running[-1] + 1
+        U, prev, W, d, step = U[:G], prev[:G], W[:G], d[:G], step[:, :G]
+        step[:2] *= dprev[:G]
+        step[2] *= d
+        A, B, C = _balance(step, p)[..., None]
+        W *= A
+        W -= B * U
+        W -= C * prev
+        prev, U, dprev = U, _balance(W, p), d
 
-    for cols, n, i, x, rows in runs:
-        low = length[cols] < n
-        for j in i[~low].tolist():
-            out[j] = n, None
-        if not low.any():
-            continue
-        cols, i, rows = cols[low], i[low], rows[low]
-        degree = length[cols]
-        f = np.take_along_axis(C[:, cols], top - degree + np.arange(n + 1)[:, None], axis=0)
-        coeffs = np.zeros(x.shape[:2])
-        coeffs[:, rows] = f  # f_j = C_{L-j}; x is not copied per member
-        zero = ~_balance(np.einsum("kij,ki->ij", x, coeffs), p)[rows].any(axis=1)
-        inverses = np.array([pow(int(v), -1, p) for v in C[top, cols].tolist()], dtype=np.int64)
-        q = f.T.astype(np.int64) * inverses[:, None] % p
-        for j, r, ok, qj in zip(i.tolist(), degree.tolist(), zero.tolist(), q.tolist()):
-            out[j] = (r, qj[:r + 1]) if ok else None
+    rank = rank[g, s]
+    out = [None if r < 0 else (r, None) for r in rank.tolist()]
+    if (low := np.flatnonzero((0 <= rank) & (rank < orders[g, 0]))).size:
+        # past its rank a member takes P_k+1 = x P_k, and members alike in every
+        # step, as automorphic vertices are, share one column of the q build
+        r, top = rank[low], int(rank[low].max())
+        steps = coeffs[:top, :, g[low], s[low]].astype(np.int64) % p
+        steps = np.where(np.arange(top)[:, None, None] >= r, [[1], [0], [0]], steps)
+        _, back, _ = _blocks([column.tobytes() for column in steps.transpose(2, 0, 1)])
+        A, B, C = steps[..., np.unique(back, return_index=True)[1]].transpose(1, 0, 2)
+        inverse = np.ones_like(A)  # 1 / A = A^(p - 2) mod p (Fermat)
+        for bit in bin(p - 2)[2:]:
+            inverse = (inverse * inverse % p * A if bit == "1" else inverse * inverse) % p
+        # monic: a_k = B_k / A_k and c_k = C_k / (A_k A_k-1)
+        c = C * inverse % p * np.roll(inverse, 1, axis=0)
+        q = _lanczos_q(np.stack((B * inverse, c), axis=1) % p, p).T.tolist()
+        for j, i, rj in zip(low.tolist(), back.tolist(), r.tolist()):
+            out[j] = rj, q[i][top - rj:]
     return out
 
 
@@ -337,18 +341,22 @@ def _zero_mod_2_64(Ls: list[np.ndarray], checks: list[tuple]) -> list[bool]:
 
 
 def _group_zero(Ls: list[np.ndarray], group: list[tuple]) -> list[bool]:
-    """_zero_mod_2_64 of one group, all of one order."""
+    """_zero_mod_2_64 of one group, all of one order, by Horner's rule on
+    the members of one L as the columns of one block."""
     if len(group) == 1:
         return [_horner_zero(Ls[group[0][0]], *group[0][1:])]
-    ms, bs, qs = zip(*group)
-    top = max(map(len, qs))
-    x = np.empty((top, len(bs), len(bs[0]), 1), dtype=np.uint64)
-    x[0, ..., 0] = bs
-    mats = (np.stack([Ls[m] for m in ms]) if len(set(ms)) > 1 else Ls[ms[0]][None]).view(np.uint64)
-    for k in range(1, top):
-        np.matmul(mats, x[k - 1], out=x[k])
-    coeffs = np.array([[c % 2**64 for c in q] + [0] * (top - len(q)) for q in qs], dtype=np.uint64)
-    return (~np.einsum("mk,kmi->mi", coeffs, x[..., 0]).any(axis=1)).tolist()
+    ms, g, s = _blocks([m for m, _, _ in group])
+    top = max(len(q) for *_, q in group)
+    b = np.zeros((len(ms), len(group[0][1]), s.max() + 1), dtype=np.uint64)
+    b[g, :, s] = [column for _, column, _ in group]
+    coeffs = np.zeros((top, len(ms), 1, b.shape[2]), dtype=np.uint64)
+    coeffs[:, g, 0, s] = np.array([[c % 2**64 for c in q] + [0] * (top - len(q))
+                                   for *_, q in group], dtype=np.uint64).T
+    mats = (np.stack([Ls[m] for m in ms]) if len(ms) > 1 else Ls[ms[0]][None]).view(np.uint64)
+    y = coeffs[-1] * b
+    for c in coeffs[-2::-1]:
+        y = np.matmul(mats, y) + c * b
+    return (~y[g, :, s].any(axis=1)).tolist()
 
 
 def _certify(pairs: Iterable[tuple]) -> tuple[list[tuple[int, int]], list[int]]:
@@ -475,26 +483,23 @@ def exact_verdicts(pairs: Iterable[tuple]) -> list[Verdict]:
     first needs it. Each distinct b (by order, dtype, shape and bytes) is
     validated once. The certificate runs in rounds: round i takes p =
     _prime(i) to the pairs still undecided, sorted by order and cut into
-    stacks where their running total of powers, 8 n (n + 1) bytes a pair,
-    passes a multiple of _STACK_BYTES. A stack of one runs _krylov_mod, the
-    Lanczos recurrence over GF(p), certified by its pairwise orthogonal
-    vectors, with q_p from its coefficients. A larger one, always below
-    order 512, builds x_k = L^k b, k <= n, by one float64 product a step
-    for the pairs of one L. With R the largest absolute column sum of L mod
-    p in residues of least size, the powers are reduced to such residues
-    once every lag products, lag the largest with (p/2 + 1) R^lag < 2^52,
-    so every product is exact. As L = L^T, s_2k = x_k . x_k and s_2k+1 =
-    x_k . x_k+1 are b^T L^k b mod p, and one Berlekamp-Massey run over the
-    stack (Wiedemann 1986) finds the minimal polynomial f of each pair's 2n
-    terms. f divides q_p: degree n is rank n at once, and only a lower
-    degree forms f(L) b, taken as q_p when f(L) b = 0 mod p, as q_p then
-    divides f; any other pair's Lanczos run would break down, so it gives
-    nothing. Residues join the CRT combinations as in kalman_rank_exact;
+    stacks where their running total of 8 n (n + 1) bytes a pair passes a
+    multiple of _STACK_BYTES. A stack of one runs _krylov_mod; a larger one,
+    always below order 512, runs the same recurrence for all its pairs at
+    once and free of division, u_k+1 = d_k d_k-1 L u_k - e_k d_k-1 u_k - f_k
+    d_k u_k-1 with d_k = u_k . u_k, e_k = u_k . L u_k and f_k = u_k-1 . L
+    u_k, on float64 residues of least size: one product a step for the
+    pairs of one L, each distinct L stacked once, and L u reduced only where
+    n R (p/2 + 1)^2 >= 2^52, R the largest absolute row sum of L in such
+    residues. Each u_k is a nonzero multiple of _krylov_mod's v_k, so a pair
+    stops where its lone run stops and takes its q_p, made monic from the
+    recorded coefficients: stacks and lone pairs give identical residues at
+    every prime. Residues join the CRT combinations as in kalman_rank_exact;
     the round's checks mod 2^64 (M <= 2 bound < M 2^64) go to one
     _zero_mod_2_64 call, cut like the stacks (_STACK_BYTES, 2 MiB) and by
     order. A group of one runs _horner_zero on a view of L; a larger one
-    takes one uint64 mat-vec a step for all its members up to its longest
-    q, on a stack of their L, or on a view of L when one L serves it. A
+    runs Horner's rule with the members of one L as the columns of one
+    block, each distinct L stacked once, or viewed when one L serves it. A
     pair left undecided waits for the next round's prime. Pairs of one
     (rank, n) share one Verdict.
     """

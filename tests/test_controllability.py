@@ -797,11 +797,13 @@ class TestKalmanExact:
     def test_stacked_kernel_matches_the_reference_kernel(self, lone_runs):
         # one _minpoly_mod call holds every order at once: P, K and AR of
         # orders 2..40 at every vertex, random graphs up to order 60 at
-        # random inputs, and symmetric integer matrices. Every member must
-        # match the reference pair by pair; at small primes, where a
-        # sequence misses q_p more often, a member may instead give None,
-        # with no _krylov_mod run. The reference is slow, so those primes
-        # take the family orders up to 24 only
+        # random inputs, and symmetric integer matrices. Each member must
+        # get exactly its lone run's result (_krylov_mod) at every prime,
+        # breakdowns included, with no _krylov_mod run inside the stack, and
+        # the reference pair wherever it does not break down. At small
+        # primes breakdowns are common: at 13, 242 of the small stack's 973
+        # members break down. The reference is slow, so those primes take
+        # the family orders up to 24 only
         import lapctrl.controllability as ctrl
         rng = random.Random(23)
         Ls, families, others = [], [], []
@@ -826,46 +828,66 @@ class TestKalmanExact:
                          (13, small)):
             lone_runs.clear()
             result = ctrl._minpoly_mod(Ls, stack, p)
+            runs[p] = len(lone_runs), result.count(None)
+            assert result == [ctrl._krylov_mod(Ls[m] % p, b, p) for m, b in stack], p
             reference = [_krylov_mod_reference(Ls[m] % p, b, p) for m, b in stack]
             assert all(got in (None, expected) for got, expected in zip(result, reference)), p
-            runs[p] = len(lone_runs), result.count(None)
             if p == ctrl._prime(0):
                 assert result == reference
                 assert {2, 39, 40} <= {rank for rank, _ in result}
-            # a sequence of linear complexity below deg q_p makes a leading
-            # Hankel minor of the s_k singular, and with it a Lanczos
-            # self-product, so a lone run on each None member breaks down too
-            missed = [(m, b) for (m, b), got in zip(stack, result) if got is None]
-            assert [ctrl._krylov_mod(Ls[m] % p, b, p) for m, b in missed] == [None] * len(missed)
         assert runs[ctrl._prime(0)] == (0, 0)
-        assert runs[13] == (0, 39)
+        assert runs[13] == (0, 242)
+
+    def test_a_low_rank_stack_stops_with_its_members(self, monkeypatch):
+        # K128 at each of its 128 vertices has rank 2, q = x^2 - 128 x: every
+        # member of the stack finds u_2 = 0 at the third step, so the
+        # recurrence stops there, after three products for the whole stack,
+        # not 128
+        import lapctrl.controllability as ctrl
+        products = []
+
+        class Recording:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def matmul(self, *args, **kwargs):
+                products.append(args[0].shape)
+                return np.matmul(*args, **kwargs)
+
+        p = ctrl._prime(0)
+        monkeypatch.setattr(ctrl, "np", Recording())
+        result = ctrl._minpoly_mod([laplacian(gen_complete(128))],
+                                   [(0, _ev(128, v).ravel()) for v in range(1, 129)], p)
+        assert result == [(2, [0, p - 128, 1])] * 128
+        assert products == [(1, 128, 128)] * 3
 
     @pytest.mark.parametrize("j", [0, 5, 10, 15, 20])
     def test_powers_reduced_in_blocks_match_the_reference_kernel(self, j):
-        # x_k is reduced once per block of lag products, lag the largest
-        # with (p/2 + 1) R^lag < 2^52, R the largest absolute column sum of
-        # L mod p in residues of least size. On 2^j L for P, K and AR of
-        # orders 2..20 and the first prime, lag runs from the order itself
-        # (j = 0, R = 4 on a path) through 6 (j = 0, K20) and 2 (j = 10) to
-        # 1, every power reduced (j = 20)
+        # L u is reduced mod p only where top R (p/2 + 1)^2 >= 2^52, R the
+        # largest absolute row sum of the stack's L mod p in residues of
+        # least size: below that bound every u . L u and every term of the
+        # update stays under 2^52 in float64. On 2^j L for P, K and AR of
+        # orders 2..20 and the first prime, R = 38 (K20) leaves L u as it
+        # is at j = 0, and from j = 5 on every L u is reduced
         import lapctrl.controllability as ctrl
         p = ctrl._prime(0)
         Ls, members = [], []
         for g in [fn(k) for k in range(2, 21) for fn in (gen_path, gen_complete, gen_antiregular)]:
             Ls.append(2**j * laplacian(g))
             members += [(len(Ls) - 1, _ev(g.n, v).ravel()) for v in range(1, g.n + 1)]
+        R = max(int(np.abs((L % p + p // 2) % p - p // 2).sum(axis=1).max()) for L in Ls)
+        assert (20 * R * (p // 2 + 1) ** 2 >= 2**52) == (j > 0)
         assert ctrl._minpoly_mod(Ls, members, p) == [
             _krylov_mod_reference(Ls[m] % p, b, p) for m, b in members]
 
     def test_a_sequence_that_misses_q_waits_for_the_next_prime(self, lone_runs):
         # L e_1 = u e_2 + v e_3 + w e_4 with u^2 + v^2 + w^2 = 2 p for the
-        # first prime p, so x_1 = L e_1 has x_1 . x_1 = 0 and L x_1 = 0 mod p:
-        # the sequence b^T L^k b is 1, 0, 0, ..., whose f = x leaves L e_1 =
-        # x_1, not 0. So f is refused, and the member gives None without a
-        # _krylov_mod run, which would break down on the same self-product,
-        # beside a path pair of the same stack, which the sequence decides.
-        # Over the rationals q = x^2 - 2p, of rank 2, which the later primes
-        # give
+        # first prime p, so the recurrence's u_1, a multiple of L e_1, has
+        # u_1 . u_1 = 0 mod p while u_1 is not 0: a breakdown at the second
+        # step, where the lone run breaks down too. The member gives None
+        # without a _krylov_mod run, beside a path pair of the same stack,
+        # which the recurrence decides. Over the rationals q = x^2 - 2p, of
+        # rank 2, which the later primes give
         import lapctrl.controllability as ctrl
         p = ctrl._prime(0)
         L = np.zeros((4, 4), dtype=np.int64)
@@ -877,8 +899,8 @@ class TestKalmanExact:
             None, (3, None)]
         assert lone_runs == []
         assert ctrl._krylov_mod(L % p, b, p) is None
-        # in exact_verdicts: the miss in the first round's stack, then the
-        # pair alone at each later prime until its q lifts exactly
+        # in exact_verdicts: the breakdown in the first round's stack, then
+        # the pair alone at each later prime until its q lifts exactly
         lone_runs.clear()
         verdicts = exact_verdicts([(L, b), (path, _ev(3, 1))])
         assert [n for _, n in lone_runs] == [4, 4]
@@ -1389,10 +1411,10 @@ class TestExactVerdicts:
 
     def test_a_stack_over_the_byte_budget_is_split(self, first_prime_members):
         # pairs are sorted by order, across orders, and cut where their
-        # running total of powers passes a multiple of the budget: a pair of
-        # order 3 and ten of order 160 (8 * 160 * 161 bytes each) stay below
-        # it, the next ten below twice it, and the last pair, a stack of
-        # one, runs _krylov_mod
+        # running total of 8 n (n + 1) bytes a pair passes a multiple of the
+        # budget: a pair of order 3 and ten of order 160 (8 * 160 * 161
+        # bytes each) stay below it, the next ten below twice it, and the
+        # last pair, a stack of one, runs _krylov_mod
         import lapctrl.controllability as ctrl
         assert ctrl._STACK_BYTES // (8 * 160 * 161) == 10
         L = laplacian(gen_complete(160))
